@@ -49,12 +49,19 @@ DTYPE_WIDTH: Dict[str, int] = {
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """One declared array field: its axis symbols, dtype, value domain."""
+    """One declared array field: its axis symbols, dtype, value domain.
+
+    An axis is a dim symbol or a ``*``-product of them (``"L*R*P*V"``):
+    a flattened run of axes, indexed by one C-order flat index over
+    those dims.  ``flat_of`` names the N-d field a view shares memory
+    with; its dtype and value domain are that field's.
+    """
 
     name: str
     axes: Tuple[str, ...]
     dtype: str
     values: Optional[str] = None
+    flat_of: Optional[str] = None
 
     @property
     def rank(self) -> int:
@@ -76,6 +83,20 @@ class Contract:
         if domain is None:
             return False
         return bool(self.domains.get(domain, {}).get("lane_partitioned"))
+
+    def family(self, symbol: Optional[str]) -> Optional[Tuple[str, ...]]:
+        """The dims a flat index over ``symbol`` enumerates, in C order.
+
+        ``symbol`` is an axis (``"R"``, ``"L*R*P"``) or a value domain: a
+        domain declaring ``dim`` holds values in ``[0, dim)``, and a
+        domain spelled as a dim product holds flat indices over it.
+        ``None`` when ``symbol`` is not made of this contract's dims.
+        """
+        if symbol is None:
+            return None
+        symbol = self.domains.get(symbol, {}).get("dim", symbol)
+        factors = tuple(symbol.split("*"))
+        return factors if all(f in self.dims for f in factors) else None
 
 
 @dataclass
@@ -105,7 +126,7 @@ class ContractRegistry:
                     "dims": list(c.dims),
                     "lane_axis": c.lane_axis,
                     "fields": {
-                        f: [list(s.axes), s.dtype, s.values]
+                        f: [list(s.axes), s.dtype, s.values, s.flat_of]
                         for f, s in sorted(c.fields.items())
                     },
                     "domains": c.domains,
@@ -122,16 +143,36 @@ def _parse_axes(shape: str) -> Tuple[str, ...]:
     return tuple(s.strip() for s in shape.split(",") if s.strip())
 
 
+def _field_from_literal(fname: str, fspec: Dict, declared: Dict) -> FieldSpec:
+    axes = _parse_axes(fspec["shape"])
+    base = fspec.get("flat_of")
+    if base is None:
+        return FieldSpec(
+            name=fname,
+            axes=axes,
+            dtype=str(fspec.get("dtype", "int64")),
+            values=fspec.get("values"),
+        )
+    # A view flattens runs of its base's axes, nothing else.
+    base_spec = declared[base]
+    flattened = tuple(f for axis in axes for f in axis.split("*"))
+    if flattened != _parse_axes(base_spec["shape"]):
+        raise KeyError(f"{fname}: shape is not a flattening of {base}")
+    return FieldSpec(
+        name=fname,
+        axes=axes,
+        dtype=str(base_spec.get("dtype", "int64")),
+        values=base_spec.get("values"),
+        flat_of=base,
+    )
+
+
 def _contract_from_literal(name: str, spec: Dict) -> Optional[Contract]:
     try:
+        declared = spec.get("fields", {})
         fields = {
-            fname: FieldSpec(
-                name=fname,
-                axes=_parse_axes(fspec["shape"]),
-                dtype=str(fspec.get("dtype", "int64")),
-                values=fspec.get("values"),
-            )
-            for fname, fspec in spec.get("fields", {}).items()
+            fname: _field_from_literal(fname, fspec, declared)
+            for fname, fspec in declared.items()
         }
         return Contract(
             name=name,

@@ -24,6 +24,21 @@ winnowed indices cannot alias.  Likewise the full component tuple of one
 Everything else that reaches an in-place update through integer fancy
 indices is a SIM303 candidate.
 
+Flat indices.  Kernels may address a contract's arrays through 1-d views
+(``"shape": "L*R*P*V"``) and one flat index.  The interpreter tracks the
+**family** of such an index — the dims it enumerates in C order:
+``np.flatnonzero`` of a mask over a view (or ``mask.nonzero()[0]``)
+yields a duplicate-free index of the view's family that carries the lane
+when the family starts with the lane axis; ``// dims`` strips trailing
+dims (keeping the lane, losing uniqueness), ``% dims`` keeps only them
+(losing the lane); ``index * dims + small`` appends dims when ``small``
+is known to lie in their range (a ``% dims`` result, an argmax over that
+axis, a value of a domain declaring that ``dim``) and stays duplicate-
+free; a gather from a field whose value domain is a dim product is a
+flat index of that family.  Indexing a view with a flat index of another
+family is SIM305.  ``keep = mask.nonzero()[0]`` over a data-dependent
+mask is a *selection*: ``a[keep]`` filters exactly like ``a[mask]``.
+
 The pass records rule *candidates* plus the call/loop events the rule
 phase resolves interprocedurally; results are JSON-serializable so the
 flow summary cache can store them.
@@ -39,7 +54,7 @@ from .contracts import DTYPE_WIDTH, Contract, ContractRegistry
 __all__ = ["ARRAYS_FACTS_VERSION", "extract_kernel_module"]
 
 #: bump to invalidate cached per-module kernel facts
-ARRAYS_FACTS_VERSION = 1
+ARRAYS_FACTS_VERSION = 2
 
 _REDUCERS = ("sum", "min", "max", "mean", "prod", "any", "all")
 _ALLOCATORS = ("zeros", "ones", "empty", "full", "arange")
@@ -51,7 +66,7 @@ class AV:
     __slots__ = (
         "kind", "shape", "dtype", "known", "lane", "lane_part",
         "winnow", "nz", "chain", "bounded", "values", "contract",
-        "dim", "scatter",
+        "dim", "scatter", "flat", "zeros", "select",
     )
 
     def __init__(
@@ -69,6 +84,9 @@ class AV:
         values: Optional[str] = None,
         contract: Optional[Contract] = None,
         dim: Optional[str] = None,
+        flat: Optional[Tuple[str, ...]] = None,
+        zeros: int = 0,
+        select: bool = False,
     ) -> None:
         self.kind = kind
         self.shape = shape
@@ -83,6 +101,13 @@ class AV:
         self.values = values
         self.contract = contract
         self.dim = dim
+        #: the dims this flat index enumerates in C order (its family)
+        self.flat = flat
+        #: how many trailing dims of ``flat`` are known to be zero
+        self.zeros = zeros
+        #: a ``mask.nonzero()[0]`` selection: indexes like the mask itself
+        #: (``winnow`` then says whether the *mask* was a winner mask)
+        self.select = select
         #: (key name, score name) after np.minimum.at(self, key, score)
         self.scatter: Optional[Tuple[str, str]] = None
 
@@ -101,6 +126,7 @@ class AV:
             winnow=self.winnow, nz=self.nz, chain=self.chain,
             bounded=self.bounded, values=self.values,
             contract=self.contract, dim=self.dim,
+            flat=self.flat, zeros=self.zeros, select=self.select,
         )
         for name, value in overrides.items():
             setattr(av, name, value)
@@ -117,6 +143,25 @@ def _loc(node: ast.AST) -> List[int]:
 def _end(node: ast.AST) -> List[int]:
     return [getattr(node, "end_lineno", 0) or 0,
             getattr(node, "end_col_offset", 0) or 0]
+
+
+def _family_of_shape(shape: Optional[Tuple[str, ...]]) -> Optional[Tuple[str, ...]]:
+    """The dims a C-order flat index over ``shape`` enumerates."""
+    if not shape:
+        return None
+    family: List[str] = []
+    for axis in shape:
+        if axis in ("n", "?", "1"):
+            return None
+        family.extend(axis.split("*"))
+    return tuple(family)
+
+
+def _dim_factors(av: "AV") -> Optional[Tuple[str, ...]]:
+    """``st.V`` / ``st.P * st.V`` → the dims multiplied together."""
+    if av.kind == "dim" and av.dim:
+        return tuple(av.dim.split("*"))
+    return None
 
 
 def _np_attr(node: ast.AST) -> Optional[str]:
@@ -211,6 +256,12 @@ class _FuncInterp:
     @property
     def lane_symbol(self) -> Optional[str]:
         return self.lane_contract.lane_axis if self.lane_contract else None
+
+    def lane_major(self, family: Optional[Tuple[str, ...]]) -> bool:
+        """Whether a flat index (or shape) over ``family`` leads with the lane."""
+        if not family:
+            return False
+        return self.lane_ctx and family[0] == self.lane_symbol
 
     def flag(self, rule: str, node: ast.AST, message: str, anchor: str) -> None:
         self.candidates.append({
@@ -419,7 +470,7 @@ class _FuncInterp:
         elif isinstance(target, ast.Subscript):
             entries = self._index_entries(target)
             base = self.eval(target.value)
-            self._check_arity(base, entries, target)
+            self._check_layout(base, entries, target)
             if self._reads_same_cell(target, value):
                 self._check_alias(
                     base, entries, target,
@@ -441,7 +492,7 @@ class _FuncInterp:
         if isinstance(target, ast.Subscript):
             entries = self._index_entries(target)
             base = self.eval(target.value)
-            self._check_arity(base, entries, target)
+            self._check_layout(base, entries, target)
             self._check_alias(
                 base, entries, target,
                 "in-place augmented update through possibly-duplicate "
@@ -478,7 +529,7 @@ class _FuncInterp:
                 entries.append(("int", None))
             else:
                 av = self.eval(part)
-                if av.kind == "mask":
+                if av.kind == "mask" or av.select:
                     entries.append(("mask", av))
                 elif av.is_array:
                     entries.append(("fancy", av))
@@ -486,15 +537,25 @@ class _FuncInterp:
                     entries.append(("int", None))
         return entries
 
-    def _check_arity(
+    def _check_layout(
         self,
         base: AV,
         entries: List[Tuple[str, Optional[AV]]],
         node: ast.Subscript,
     ) -> None:
-        """SIM305: more axes consumed than the declared layout has."""
+        """SIM305: an index that disagrees with the declared layout."""
+        if not self._check_arity(base, entries, node):
+            self._check_family(base, entries, node)
+
+    def _check_arity(
+        self,
+        base: AV,
+        entries: List[Tuple[str, Optional[AV]]],
+        node: ast.Subscript,
+    ) -> bool:
+        """More axes consumed than the declared layout has (flags; True)."""
         if base.rank is None:
-            return
+            return False
         consumed = 0
         for kind, av in entries:
             if kind in ("slice", "int", "fancy"):
@@ -510,6 +571,35 @@ class _FuncInterp:
                 f"[{layout}] has rank {base.rank}",
                 "index-arity",
             )
+            return True
+        return False
+
+    def _check_family(
+        self,
+        base: AV,
+        entries: List[Tuple[str, Optional[AV]]],
+        node: ast.Subscript,
+    ) -> None:
+        """A flat index of one family into an axis laid out as another."""
+        if base.shape is None:
+            return
+        for axis, (kind, av) in zip(base.shape, entries):
+            if kind in ("ellipsis", "newaxis"):
+                return  # positions no longer line up with axes
+            layout = _family_of_shape((axis,))
+            if (
+                kind == "fancy"
+                and av is not None
+                and av.flat
+                and layout
+                and av.flat != layout
+            ):
+                self.flag(
+                    "shape-contract", node,
+                    f"flat index over [{','.join(av.flat)}] indexes an axis "
+                    f"laid out [{','.join(layout)}]",
+                    "index-family",
+                )
 
     def _check_alias(
         self,
@@ -594,7 +684,7 @@ class _FuncInterp:
                 spec = contract.fields[node.attr]
                 return AV(
                     kind="array", shape=spec.axes, dtype=spec.dtype,
-                    known=True, values=spec.values,
+                    known=True, values=spec.values, contract=contract,
                     lane_part=contract.lane_partitioned(spec.values),
                 )
             if node.attr in contract.dims:
@@ -608,6 +698,26 @@ class _FuncInterp:
         operands = [left, right]
         arrays = [o for o in operands if o.is_array]
         known = all(o.known for o in operands)
+        dtype = self._promote(operands)
+        op = node.op
+        left_dims, right_dims = _dim_factors(left), _dim_factors(right)
+        if isinstance(op, ast.Mult) and left_dims and right_dims:
+            return AV(
+                kind="dim", known=True, dtype="int64", contract=left.contract,
+                dim="*".join(left_dims + right_dims),
+            )
+        if arrays and all(o.kind == "mask" for o in arrays) and isinstance(
+            op, (ast.BitAnd, ast.BitOr, ast.BitXor)
+        ):
+            # a subset of a winner mask still has one winner per bucket
+            return AV(
+                kind="mask", shape=arrays[0].shape, dtype="bool", known=known,
+                winnow=isinstance(op, ast.BitAnd) and any(o.winnow for o in arrays),
+            )
+        flat = self._flat_binop(op, left, right)
+        if flat is not None:
+            flat.known, flat.dtype = known, dtype
+            return flat
         lane = any(o.lane for o in operands)
         lane_part = any(o.lane_part for o in operands)
         shape = arrays[0].shape if arrays else None
@@ -615,13 +725,66 @@ class _FuncInterp:
         if not arrays and not all(o.kind in ("const", "dim") for o in operands):
             kind = "unknown"
             known = False
-        winnow = bool(arrays) and all(o.winnow for o in arrays)
-        dtype = self._promote(operands)
-        bounded = isinstance(node.op, ast.Mod)
+        # only shifting or scaling one index array keeps it duplicate-free
+        winnow = (
+            len(arrays) == 1
+            and arrays[0].winnow
+            and isinstance(op, (ast.Add, ast.Sub, ast.Mult))
+        )
+        bounded = isinstance(op, ast.Mod)
+        if bounded:
+            lane = False  # a remainder no longer determines the lane
         return AV(
             kind=kind, shape=shape, dtype=dtype, known=known, lane=lane,
             lane_part=lane_part, winnow=winnow, bounded=bounded,
         )
+
+    def _flat_binop(self, op: ast.operator, left: AV, right: AV) -> Optional[AV]:
+        """Flat-index algebra; ``None`` when ``op`` is not part of it."""
+
+        def of_family(index: AV, family: Tuple[str, ...], **kw) -> AV:
+            return AV(
+                kind="array", shape=index.shape, flat=family,
+                lane=self.lane_major(family), **kw,
+            )
+
+        if isinstance(op, ast.Mult):
+            for index, other in ((left, right), (right, left)):
+                family, dims = index.flat, _dim_factors(other)
+                if index.is_array and family and dims:
+                    return of_family(
+                        index, family + dims, zeros=len(dims), winnow=index.winnow
+                    )
+        elif isinstance(op, ast.Add):
+            for index, other in ((left, right), (right, left)):
+                family, digits = index.flat, other.flat
+                if (
+                    index.is_array
+                    and family
+                    and digits
+                    and len(digits) <= index.zeros
+                    and family[-len(digits):] == digits
+                ):
+                    return of_family(index, family, winnow=index.winnow)
+        elif isinstance(op, (ast.FloorDiv, ast.Mod)):
+            index, dims = left, _dim_factors(right)
+            if not (index.is_array and dims):
+                return None
+            family, k = index.flat or (), len(dims)
+            trailing = sorted(family[-k:]) == sorted(dims)
+            if isinstance(op, ast.Mod):
+                # in [0, prod dims) whatever the left side was
+                return AV(
+                    kind="array", shape=index.shape, bounded=True,
+                    flat=family[-k:] if trailing else dims,
+                    lane=trailing and k == len(family) and index.lane,
+                )
+            if trailing and k < len(family):
+                return of_family(index, family[:-k])
+            # dividing by dims that are not the trailing ones: no family,
+            # and whether the lane survives is not known
+            return AV(kind="array", shape=index.shape)
+        return None
 
     @staticmethod
     def _promote(operands: Sequence[AV]) -> Optional[str]:
@@ -667,8 +830,10 @@ class _FuncInterp:
     def _subscript(
         self, base: AV, index: ast.expr, node: ast.Subscript
     ) -> AV:
+        if base.kind == "nonzero":
+            return self._nonzero_component(base, index)
         entries = self._index_entries(node)
-        self._check_arity(base, entries, node)
+        self._check_layout(base, entries, node)
         if base.kind == "unknown" or base.shape is None:
             return _UNKNOWN
 
@@ -724,15 +889,45 @@ class _FuncInterp:
         known = base.known and all(
             av is None or av.known for _, av in entries
         )
+        # values of a dim(-product) domain are flat indices of that family
+        family = base.contract.family(base.values) if base.contract else None
         return AV(
             kind="mask" if base.kind == "mask" else "array",
             shape=shape,
             dtype=base.dtype,
             known=known,
-            lane=base.lane,
+            lane=base.lane or self.lane_major(family),
             lane_part=base.lane_part,
             winnow=result_winnow or base.winnow,
             values=base.values,
+            contract=base.contract,
+            flat=family,
+        )
+
+    def _flat_nonzero(self, mask: AV) -> AV:
+        """``np.flatnonzero(mask)`` / ``mask.nonzero()[0]`` of a 1-d mask
+        (``mask.winnow``: it is a winner mask, not merely duplicate-free)."""
+        family = _family_of_shape(mask.shape)
+        if family is None:
+            # over a data-dependent extent: a selection, filters like the mask
+            return AV(
+                kind="array", shape=("n",), dtype="int64", known=mask.known,
+                select=True, winnow=mask.winnow,
+            )
+        return AV(
+            kind="array", shape=("n",), dtype="int64", known=mask.known,
+            flat=family, winnow=True,  # each cell at most once
+            lane=self.lane_major(family),
+        )
+
+    def _nonzero_component(self, nonzero: AV, index: ast.expr) -> AV:
+        """``mask.nonzero()[k]``."""
+        if nonzero.rank == 1:
+            return self._flat_nonzero(nonzero)
+        first = isinstance(index, ast.Constant) and index.value == 0
+        return AV(
+            kind="array", shape=("n",), dtype="int64", known=nonzero.known,
+            lane=first and self.lane_major(nonzero.shape),
         )
 
     def _basic_subscript(
@@ -870,7 +1065,16 @@ class _FuncInterp:
                 lane=a.lane or b.lane,
                 lane_part=a.lane_part and b.lane_part,
             )
-        if name in ("nonzero", "flatnonzero") and node.args:
+        if name == "flatnonzero" and node.args:
+            mask = self.eval(node.args[0])
+            if mask.shape is None:
+                return _UNKNOWN
+            # C order: a flat index over all of the mask's axes
+            return self._flat_nonzero(mask.copy(
+                shape=("*".join(mask.shape),),
+                winnow=mask.kind == "mask" and mask.winnow,
+            ))
+        if name == "nonzero" and node.args:
             self.eval(node.args[0])
             return _UNKNOWN
         if name == "take_along_axis" and len(node.args) >= 2:
@@ -886,8 +1090,12 @@ class _FuncInterp:
                 shape = tuple(
                     s for i, s in enumerate(arr.shape) if i != axis
                 ) or ("n",)
+            # an argmax along one axis is a position in that axis
+            reduced = None
+            if arr.shape is not None and axis is not None:
+                reduced = _family_of_shape((arr.shape[axis],))
             return AV(kind="array", shape=shape, dtype="int64",
-                      known=arr.known)
+                      known=arr.known, flat=reduced)
         if name in _REDUCERS and node.args:
             arr = self.eval(node.args[0])
             return self._reduce(node, arr, name)
@@ -914,9 +1122,23 @@ class _FuncInterp:
             return self._eval_astype(node, base)
         if method in _REDUCERS:
             return self._reduce(node, base, method)
-        if method in ("copy", "ravel", "flatten"):
-            if method == "copy":
-                return base
+        if method == "copy":
+            return base
+        if method == "nonzero" and base.is_array and base.shape is not None:
+            return base.copy(
+                kind="nonzero", nz=None,
+                winnow=base.kind == "mask" and base.winnow,
+            )
+        if method in ("ravel", "flatten") or (
+            method == "reshape"
+            and len(node.args) == 1
+            and isinstance(node.args[0], ast.UnaryOp)
+            and isinstance(node.args[0].op, ast.USub)
+        ):
+            # C-order flattening: one product axis over the same family
+            shape = base.shape
+            if base.is_array and shape and _family_of_shape(shape):
+                return base.copy(shape=("*".join(shape),), nz=None, winnow=False)
             return _UNKNOWN
         for arg in node.args:
             self.eval(arg)

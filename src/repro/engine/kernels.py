@@ -1,25 +1,40 @@
 """Lane-batched per-cycle kernels for the batched SIMD network.
 
-These are the :mod:`repro.noc_gpu.kernels` stages generalized with a
-leading lane axis: one kernel invocation advances every router of every
-lane.  All scatter-reduction bucket keys carry the lane index, so
-arbitration in one lane can never observe another — per-lane results
+These are the :mod:`repro.noc_gpu.kernels` stages over ``L`` lanes at
+once: one kernel invocation advances every router of every lane.  They
+address the state through the flat cell index of
+:mod:`repro.engine.layout` — ``np.flatnonzero`` over a 1-d mask view,
+then single-array gathers and scatters — because at a few hundred
+active cells per cycle the cost of a stage is NumPy's per-call indexing
+overhead, not arithmetic, and a 4-array fancy index pays it several
+times over.  For the same reason a selection is applied as
+``keep = mask.nonzero()[0]`` followed by integer takes: one scan of the
+mask instead of one per filtered array.
+
+All scatter-reduction bucket keys are flat indices that carry the lane,
+so arbitration in one lane can never observe another — per-lane results
 are bit-identical to running :mod:`repro.noc_gpu` on each lane alone
-(``tests/test_engine_batched.py`` enforces this).  ``np.nonzero`` over
-``[L,R,P,V]`` masks enumerates lane-major in C order, so the per-lane
-sub-order of every gather/scatter matches the single-lane kernels
-exactly.
+(``tests/test_engine_differential.py`` checks every array after every
+cycle).  ``np.flatnonzero`` enumerates the flat views in C order, which
+is lane-major ``(lane, r, p, v)`` order: the per-lane sub-order of every
+gather, scatter and tie-break matches the single-lane kernels exactly.
+
+Round-robin priority is the distance from the bucket's pointer, which
+is already unique within a bucket (its candidates differ in the very
+coordinate the distance is taken over), so it is the scatter-min score
+as is; the single-lane kernels' ``rank * n + code`` orders identically.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Tuple
 
 import numpy as np
 
 from ..noc.topology import EAST, LOCAL, NORTH, SOUTH, WEST
 from ..noc_gpu.kernels import FLAG_HEAD, FLAG_TAIL
-from .layout import BIG, OWNER_DTYPE, PORT_DTYPE, VC_DTYPE, BatchState
+from .layout import BIG, OWNER_DTYPE, PORT_DTYPE, PTR_DTYPE, VC_DTYPE, BatchState
 
 __all__ = [
     "FLAG_HEAD",
@@ -30,168 +45,170 @@ __all__ = [
 ]
 
 
+@lru_cache(maxsize=None)
+def _succ(n: int) -> np.ndarray:
+    """``_succ(n)[i] == (i + 1) % n`` in pointer dtype: one gather advances
+    a round-robin pointer (or ring index) with no modulo and no cast."""
+    table = ((np.arange(n) + 1) % n).astype(PTR_DTYPE)
+    table.flags.writeable = False
+    return table
+
+
+#: XY output port by ``sign(dx) * 3 + sign(dy) + 4``: X first, then Y
+_XY_PORT = np.array(
+    [WEST, WEST, WEST, SOUTH, LOCAL, NORTH, EAST, EAST, EAST], dtype=PORT_DTYPE
+)
+
+
 def route_compute(st: BatchState) -> None:
     """Kernel 1: XY route for every VC whose front flit is an unrouted head."""
-    need = (st.count > 0) & (st.route_port < 0)
-    if not need.any():
+    cell = np.flatnonzero((st.count_f > 0) & (st.route_port_f < 0))
+    if not len(cell):
         return
-    lane, r, p, v = np.nonzero(need)
-    slot = st.head[lane, r, p, v]
-    pkt = st.buf_pkt[lane, r, p, v, slot]
+    pkt = st.buf_pkt_f[cell * st.B + st.head_f[cell]]
     dst = st.pkt_dst_router[pkt]
+    r = cell // (st.P * st.V) % st.R
     dx = st.x[dst] - st.x[r]
     dy = st.y[dst] - st.y[r]
-    port = np.where(
-        dx > 0,
-        EAST,
-        np.where(dx < 0, WEST, np.where(dy > 0, NORTH, np.where(dy < 0, SOUTH, LOCAL))),
-    )
-    st.route_port[lane, r, p, v] = port.astype(PORT_DTYPE)
+    st.route_port_f[cell] = _XY_PORT[np.sign(dx) * 3 + np.sign(dy) + 4]
 
 
 def vc_allocate(st: BatchState) -> np.ndarray:
     """Kernel 2: separable VC allocation across all lanes.
 
     Same two stages as the single-lane kernel — selection of the first
-    free output VC, then scatter-min round-robin arbitration — with the
-    lane folded into the bucket key so conflicts never cross lanes.
-    Returns the per-lane grant counts, shape ``[L]``.
+    free output VC, then scatter-min round-robin arbitration — keyed by
+    the flat output cell ``(lane, r, out_port, out_vc)``, so conflicts
+    never cross lanes.  Returns the flat cells of the input VCs granted.
     """
-    zeros = np.zeros(st.L, dtype=np.int64)
-    req = (st.route_port >= 0) & ~st.active & (st.count > 0)
-    if not req.any():
-        return zeros
-    lane, r, p, v = np.nonzero(req)
-    op = st.route_port[lane, r, p, v].astype(np.int64)
-
-    free = st.ovc_owner[lane, r, op, :] == -1  # [n, V]
-    has_free = free.any(axis=1)
-    if not has_free.any():
-        return zeros
-    lane, r, p, v, op = (a[has_free] for a in (lane, r, p, v, op))
-    ov = np.argmax(free[has_free], axis=1).astype(np.int64)
-
+    cell = np.flatnonzero((st.route_port_f >= 0) & ~st.active_f & (st.count_f > 0))
+    if not len(cell):
+        return cell
     PV = st.P * st.V
-    in_code = p * st.V + v
-    rank = (in_code - st.va_ptr[lane, r, op, ov]) % PV
-    score = rank * PV + in_code  # unique per (lane, router, op, ov)
-    target = ((lane * st.R + r) * st.P + op) * st.V + ov
-    best = np.full(st.L * st.R * st.P * st.V, BIG, dtype=np.int64)
-    np.minimum.at(best, target, score)
-    won = score == best[target]
+    lane_router = cell // PV
+    out_pc = lane_router * st.P + st.route_port_f[cell]
 
-    lw, rw, pw, vw = lane[won], r[won], p[won], v[won]
-    opw, ovw = op[won], ov[won]
-    st.out_vc[lw, rw, pw, vw] = ovw.astype(VC_DTYPE)
-    st.active[lw, rw, pw, vw] = True
-    st.ovc_owner[lw, rw, opw, ovw] = (pw * st.V + vw).astype(OWNER_DTYPE)
-    st.va_ptr[lw, rw, opw, ovw] = ((pw * st.V + vw + 1) % PV).astype(np.int32)
-    return np.bincount(lw, minlength=st.L).astype(np.int64)
+    # First free VC of the route port; argmax of a row with none is VC 0,
+    # which is then not free.
+    out_vc = np.argmax(st.ovc_owner_pv[out_pc] == -1, axis=1)
+    target = out_pc * st.V + out_vc
+    keep = (st.ovc_owner_f[target] == -1).nonzero()[0]
+    if len(keep) < len(cell):
+        cell, lane_router, out_vc, target = (
+            cell[keep], lane_router[keep], out_vc[keep], target[keep],
+        )
+
+    in_code = cell - lane_router * PV  # in_port * V + in_vc
+    rank = (in_code - st.va_ptr_f[target]) % PV
+    best = st.arb_cell
+    np.minimum.at(best, target, rank)
+    won = rank == best[target]
+    best[target] = BIG
+
+    keep = won.nonzero()[0]
+    cell, out_vc, target, in_code = cell[keep], out_vc[keep], target[keep], in_code[keep]
+    st.out_vc_f[cell] = out_vc.astype(VC_DTYPE)
+    st.active_f[cell] = True
+    st.ovc_owner_f[target] = in_code.astype(OWNER_DTYPE)
+    st.va_ptr_f[target] = _succ(PV)[in_code]
+    return cell
 
 
 def switch_traverse(
     st: BatchState,
     now: int,
-    eject: Callable[
-        [np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray], None
-    ],
+    eject: Callable[[np.ndarray, np.ndarray], None],
     hop_counter: np.ndarray,
-) -> Tuple[
-    np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray
-]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Kernels 3+4: switch allocation and traversal across all lanes.
 
-    ``eject`` receives ``(lanes, pkt_idx, seq, flags, routers)`` for
-    flits leaving at a local port, lane-major in C order (so per-lane
-    ejection order matches the single-lane kernel).  ``hop_counter`` is
-    the global per-packet hop array.
+    ``eject`` receives ``(cells, pkt_idx)`` of the tail flits leaving at
+    a local port, lane-major in C order (so per-lane ejection order
+    matches the single-lane kernel).  ``hop_counter`` is the global
+    per-packet hop array.
 
-    Returns ``(grants, link_moves, credit_lanes, credit_routers,
-    credit_ports, credit_vcs)``; ``grants`` and ``link_moves`` are
-    per-lane counts of shape ``[L]``.
+    Returns flat cells ``(granted, moved, credit_cells)``: the input VCs
+    that won the switch, those of them whose flit crossed a link, and
+    the upstream ``(lane, r, out_port, out_vc)`` cells whose credit
+    comes back after ``credit_delay``.
     """
-    empty = np.empty(0, dtype=np.int64)
-    zeros = np.zeros(st.L, dtype=np.int64)
-    front_ready = np.take_along_axis(
-        st.buf_ready, st.head[..., None].astype(np.int64), axis=4
-    )[..., 0]
-    cand = st.active & (st.count > 0) & (front_ready <= now)
-    if not cand.any():
-        return zeros, zeros, empty, empty, empty, empty
-    lane, r, p, v = np.nonzero(cand)
-    op = st.route_port[lane, r, p, v].astype(np.int64)
-    ov = st.out_vc[lane, r, p, v].astype(np.int64)
-    has_credit = st.credits[lane, r, op, ov] > 0
-    if not has_credit.any():
-        return zeros, zeros, empty, empty, empty, empty
-    lane, r, p, v, op, ov = (a[has_credit] for a in (lane, r, p, v, op, ov))
+    V, P, B = st.V, st.P, st.B
+    cell = np.flatnonzero(st.active_f & (st.count_f > 0))
+    ready = st.buf_ready_f[cell * B + st.head_f[cell]] <= now
+    cell = cell[ready.nonzero()[0]]
+    in_pc = cell // V
+    out_pc = in_pc // P * P + st.route_port_f[cell]
+    out_cell = out_pc * V + st.out_vc_f[cell]
+    keep = (st.credits_f[out_cell] > 0).nonzero()[0]
+    if not len(keep):
+        return keep, keep, keep  # nothing can move: three empty index arrays
+    cell, in_pc, out_pc, out_cell = cell[keep], in_pc[keep], out_pc[keep], out_cell[keep]
+    best = st.arb_pc
 
     # Input stage: one VC per input port (round-robin over VCs).
-    key_in = (lane * st.R + r) * st.P + p
-    score_in = ((v - st.sa_in_ptr[lane, r, p]) % st.V) * st.V + v
-    best_in = np.full(st.L * st.R * st.P, BIG, dtype=np.int64)
-    np.minimum.at(best_in, key_in, score_in)
-    nominated = score_in == best_in[key_in]
-    lane, r, p, v, op, ov = (a[nominated] for a in (lane, r, p, v, op, ov))
+    v = cell % V
+    rank = (v - st.sa_in_ptr_f[in_pc]) % V
+    np.minimum.at(best, in_pc, rank)
+    nominated = rank == best[in_pc]
+    best[in_pc] = BIG
+    keep = nominated.nonzero()[0]
+    cell, in_pc, out_pc, out_cell, v = (
+        cell[keep], in_pc[keep], out_pc[keep], out_cell[keep], v[keep],
+    )
 
     # Output stage: one input port per output port (round-robin over ports).
-    key_out = (lane * st.R + r) * st.P + op
-    score_out = ((p - st.sa_out_ptr[lane, r, op]) % st.P) * st.P + p
-    best_out = np.full(st.L * st.R * st.P, BIG, dtype=np.int64)
-    np.minimum.at(best_out, key_out, score_out)
-    won = score_out == best_out[key_out]
-    lane, r, p, v, op, ov = (a[won] for a in (lane, r, p, v, op, ov))
+    p = in_pc % P
+    rank = (p - st.sa_out_ptr_f[out_pc]) % P
+    np.minimum.at(best, out_pc, rank)
+    won = rank == best[out_pc]
+    best[out_pc] = BIG
+    keep = won.nonzero()[0]
+    cell, in_pc, out_pc, out_cell, v, p = (
+        cell[keep], in_pc[keep], out_pc[keep], out_cell[keep], v[keep], p[keep],
+    )
 
-    st.sa_in_ptr[lane, r, p] = ((v + 1) % st.V).astype(np.int32)
-    st.sa_out_ptr[lane, r, op] = ((p + 1) % st.P).astype(np.int32)
+    st.sa_in_ptr_f[in_pc] = _succ(V)[v]
+    st.sa_out_ptr_f[out_pc] = _succ(P)[p]
 
     # Pop the front flits.
-    slot = st.head[lane, r, p, v].astype(np.int64)
-    pkt = st.buf_pkt[lane, r, p, v, slot]
-    seq = st.buf_seq[lane, r, p, v, slot]
-    flags = st.buf_flags[lane, r, p, v, slot]
-    st.buf_pkt[lane, r, p, v, slot] = -1
-    st.head[lane, r, p, v] = ((slot + 1) % st.B).astype(np.int32)
-    st.count[lane, r, p, v] -= 1
+    slot = st.head_f[cell]
+    front = cell * B + slot
+    pkt = st.buf_pkt_f[front]
+    flags = st.buf_flags_f[front]
+    st.buf_pkt_f[front] = -1
+    st.head_f[cell] = _succ(B)[slot]
+    st.count_f[cell] -= 1
 
     # Tails release the input VC and the held output VC.
-    is_tail = (flags & FLAG_TAIL) != 0
-    lt, rt, pt, vt = lane[is_tail], r[is_tail], p[is_tail], v[is_tail]
-    st.active[lt, rt, pt, vt] = False
-    st.route_port[lt, rt, pt, vt] = -1
-    st.out_vc[lt, rt, pt, vt] = -1
-    st.ovc_owner[lt, rt, op[is_tail], ov[is_tail]] = -1
+    tails = (flags & FLAG_TAIL).nonzero()[0]
+    tail_cell = cell[tails]
+    st.active_f[tail_cell] = False
+    st.route_port_f[tail_cell] = -1
+    st.out_vc_f[tail_cell] = -1
+    st.ovc_owner_f[out_cell[tails]] = -1
 
-    # Ejections leave the network here.
-    local = op == LOCAL
-    if local.any():
-        eject(lane[local], pkt[local], seq[local], flags[local], r[local])
+    # Only a local output port has no port cell to arrive at (edge ports
+    # never hold credits): tails leaving through one leave the network.
+    dst_pc = st.nbr_pc[out_pc]
+    gone = tails[(dst_pc[tails] < 0).nonzero()[0]]
+    if len(gone):
+        eject(cell[gone], pkt[gone])
 
     # Inter-router moves land in the neighbour's input buffer.
-    mv = ~local
-    link_moves = np.bincount(lane[mv], minlength=st.L).astype(np.int64)
-    if mv.any():
-        lm, rm, opm, ovm = lane[mv], r[mv], op[mv], ov[mv]
-        st.credits[lm, rm, opm, ovm] -= 1
-        nr = st.nbr_router[rm, opm].astype(np.int64)
-        npt = st.nbr_port[rm, opm].astype(np.int64)
-        dst_slot = (
-            (st.head[lm, nr, npt, ovm] + st.count[lm, nr, npt, ovm]) % st.B
-        ).astype(np.int64)
-        st.buf_pkt[lm, nr, npt, ovm, dst_slot] = pkt[mv]
-        st.buf_seq[lm, nr, npt, ovm, dst_slot] = seq[mv]
-        st.buf_flags[lm, nr, npt, ovm, dst_slot] = flags[mv]
-        st.buf_ready[lm, nr, npt, ovm, dst_slot] = (
-            now + st.config.link_delay + st.config.router_delay
-        )
-        st.count[lm, nr, npt, ovm] += 1
-        head_mv = (flags[mv] & FLAG_HEAD) != 0
-        np.add.at(hop_counter, pkt[mv][head_mv], 1)
+    keep = (dst_pc >= 0).nonzero()[0]
+    if len(keep):
+        pkt, flags, out_cell = pkt[keep], flags[keep], out_cell[keep]
+        st.credits_f[out_cell] -= 1
+        dst_cell = dst_pc[keep] * V + out_cell % V
+        dst_slot = dst_cell * B + (st.head_f[dst_cell] + st.count_f[dst_cell]) % B
+        st.buf_pkt_f[dst_slot] = pkt
+        st.buf_seq_f[dst_slot] = st.buf_seq_f[front[keep]]
+        st.buf_flags_f[dst_slot] = flags
+        st.buf_ready_f[dst_slot] = now + st.config.link_delay + st.config.router_delay
+        st.count_f[dst_cell] += 1
+        np.add.at(hop_counter, pkt[(flags & FLAG_HEAD).nonzero()[0]], 1)
 
     # Credits for the freed input slots flow to the upstream router; the
     # local port needs none (the injection queue reads occupancy directly).
-    up = p != LOCAL
-    ur = st.nbr_router[r[up], p[up]].astype(np.int64)
-    uport = st.nbr_port[r[up], p[up]].astype(np.int64)
-    grants = np.bincount(lane, minlength=st.L).astype(np.int64)
-    return grants, link_moves, lane[up], ur, uport, v[up]
+    up_pc = st.nbr_pc[in_pc]
+    return cell, cell[keep], (up_pc * V + v)[(up_pc >= 0).nonzero()[0]]

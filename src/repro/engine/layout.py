@@ -11,11 +11,32 @@ The packet table is global across lanes: ``buf_pkt`` stores indices into
 one shared table, and lane ownership is implicit — a packet index only
 ever appears in the lane that injected it, so kernels never need a
 per-packet lane column.
+
+Flat views.  The kernels address every array through one *flat cell
+index* ``cell = ((lane*R + r)*P + p)*V + v`` over 1-d views of the
+arrays above (``count_f`` is ``count.reshape(-1)``, same memory):
+
+* ``cell`` indexes the ``[L,R,P,V]`` views — the input side as
+  ``(lane, r, in_port, in_vc)`` and the output side (``ovc_owner``,
+  ``credits``, ``va_ptr``) as ``(lane, r, out_port, out_vc)``;
+* ``cell // V`` is the *port cell* ``(lane*R + r)*P + p`` indexing the
+  ``[L,R,P]`` pointer views and :attr:`BatchState.nbr_pc`;
+  ``cell % V`` is ``v``; ``port_cell % P`` is ``p``;
+* ``cell // (P*V)`` is the *lane router* ``lane*R + r`` and
+  ``cell // (R*P*V)`` the lane;
+* ``cell*B + slot`` indexes the ``[L,R,P,V,B]`` buffer views.
+
+C order of the flat index is the lane-major order ``np.nonzero`` gave
+the N-d masks, so every gather, scatter and arbitration tie-break sees
+cells in the order it always did.  Views are *derived* state: a pickle
+of an array and of a view of it yields two unrelated arrays, so views
+(and the geometry tables and scratch below) are left out of
+``__getstate__`` and rebuilt by ``__setstate__``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import List
 
 import numpy as np
@@ -74,11 +95,39 @@ SHAPE_CONTRACT = {
             "sa_out_ptr": {"shape": "L,R,P", "dtype": "int32"},
             "va_ptr": {"shape": "L,R,P,V", "dtype": "int32"},
             "pkt_dst_router": {"shape": "N", "dtype": "int32", "values": "router"},
+            # 1-d views (``flat_of``: same memory, dtype and value domain
+            # as the named field) — what the kernels actually index
+            "buf_pkt_f": {"shape": "L*R*P*V*B", "flat_of": "buf_pkt"},
+            "buf_seq_f": {"shape": "L*R*P*V*B", "flat_of": "buf_seq"},
+            "buf_flags_f": {"shape": "L*R*P*V*B", "flat_of": "buf_flags"},
+            "buf_ready_f": {"shape": "L*R*P*V*B", "flat_of": "buf_ready"},
+            "head_f": {"shape": "L*R*P*V", "flat_of": "head"},
+            "count_f": {"shape": "L*R*P*V", "flat_of": "count"},
+            "route_port_f": {"shape": "L*R*P*V", "flat_of": "route_port"},
+            "out_vc_f": {"shape": "L*R*P*V", "flat_of": "out_vc"},
+            "active_f": {"shape": "L*R*P*V", "flat_of": "active"},
+            "ovc_owner_f": {"shape": "L*R*P*V", "flat_of": "ovc_owner"},
+            "ovc_owner_pv": {"shape": "L*R*P,V", "flat_of": "ovc_owner"},
+            "credits_f": {"shape": "L*R*P*V", "flat_of": "credits"},
+            "va_ptr_f": {"shape": "L*R*P*V", "flat_of": "va_ptr"},
+            "sa_in_ptr_f": {"shape": "L*R*P", "flat_of": "sa_in_ptr"},
+            "sa_out_ptr_f": {"shape": "L*R*P", "flat_of": "sa_out_ptr"},
+            # lane-tiled geometry and arbitration scratch (derived)
+            "nbr_pc": {"shape": "L*R*P", "dtype": "int64", "values": "L*R*P"},
+            "arb_cell": {"shape": "L*R*P*V", "dtype": "int64"},
+            "arb_pc": {"shape": "L*R*P", "dtype": "int64"},
         },
-        "domains": {"pkt": {"lane_partitioned": True}},
+        # a domain with ``dim`` holds values in ``[0, dim)`` (or the -1
+        # sentinel): ``flat*dim + value`` stays inside the flat family
+        "domains": {
+            "pkt": {"lane_partitioned": True},
+            "router": {"dim": "R"},
+            "port": {"dim": "P"},
+            "vc": {"dim": "V"},
+            "slot": {"dim": "B"},
+        },
     },
 }
-
 
 @dataclass
 class BatchState:
@@ -124,6 +173,58 @@ class BatchState:
     pkt_dst_router: np.ndarray = field(default=None)  # [N]
     pkt_objects: List = field(default_factory=list)
 
+    # --- derived (rebuilt, never pickled): 1-d views of the arrays above,
+    # --- lane-tiled geometry, arbitration scratch ------------------------
+    buf_pkt_f: np.ndarray = field(init=False, repr=False)  # [L*R*P*V*B]
+    buf_seq_f: np.ndarray = field(init=False, repr=False)
+    buf_flags_f: np.ndarray = field(init=False, repr=False)
+    buf_ready_f: np.ndarray = field(init=False, repr=False)
+    head_f: np.ndarray = field(init=False, repr=False)  # [L*R*P*V]
+    count_f: np.ndarray = field(init=False, repr=False)
+    route_port_f: np.ndarray = field(init=False, repr=False)
+    out_vc_f: np.ndarray = field(init=False, repr=False)
+    active_f: np.ndarray = field(init=False, repr=False)
+    ovc_owner_f: np.ndarray = field(init=False, repr=False)
+    credits_f: np.ndarray = field(init=False, repr=False)
+    va_ptr_f: np.ndarray = field(init=False, repr=False)
+    sa_in_ptr_f: np.ndarray = field(init=False, repr=False)  # [L*R*P]
+    sa_out_ptr_f: np.ndarray = field(init=False, repr=False)
+    ovc_owner_pv: np.ndarray = field(init=False, repr=False)  # [L*R*P,V] one port's VCs
+    nbr_pc: np.ndarray = field(init=False, repr=False)  # [L*R*P] see _bind_derived
+    arb_cell: np.ndarray = field(init=False, repr=False)  # [L*R*P*V] scatter-min scratch
+    arb_pc: np.ndarray = field(init=False, repr=False)  # [L*R*P] scatter-min scratch
+
+    def __post_init__(self) -> None:
+        self._bind_derived()
+
+    def _bind_derived(self) -> None:
+        """(Re)build the 1-d views, ``nbr_pc`` and the arbitration scratch."""
+        for name in _DERIVED:
+            if name.endswith("_f"):
+                setattr(self, name, getattr(self, name[:-2]).reshape(-1))
+        self.ovc_owner_pv = self.ovc_owner.reshape(-1, self.V)
+        # Port cell of the input port a flit leaving through (r, p)
+        # arrives at, same lane; -1 at mesh edges and the local port.
+        # It is its own inverse, so it also maps an input port to the
+        # upstream output port its credits return to.
+        pc = (self.nbr_router.astype(np.int64) * self.P + self.nbr_port).reshape(-1)
+        lane_base = np.arange(self.L, dtype=np.int64)[:, None] * (self.R * self.P)
+        self.nbr_pc = np.where(pc >= 0, lane_base + pc, -1).reshape(-1)
+        # BIG everywhere between kernel calls: each arbitration re-arms
+        # only the keys it touched.
+        self.arb_cell = np.full(self.L * self.R * self.P * self.V, BIG, dtype=np.int64)
+        self.arb_pc = np.full(self.L * self.R * self.P, BIG, dtype=np.int64)
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        for name in _DERIVED:
+            del state[name]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._bind_derived()
+
     def grow_packet_table(self, needed: int) -> None:
         """Ensure the packet-table arrays can index ``needed`` entries."""
         current = len(self.pkt_dst_router)
@@ -148,6 +249,10 @@ class BatchState:
 
     def total_buffered_flits(self) -> int:
         return int(self.count.sum())
+
+
+#: the fields ``_bind_derived`` rebuilds
+_DERIVED = tuple(f.name for f in fields(BatchState) if not f.init)
 
 
 def build_batch_state(topo: Topology, config: NocConfig, lanes: int) -> BatchState:

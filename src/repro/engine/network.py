@@ -67,10 +67,8 @@ class SimdBatch:
         self.state = build_batch_state(topo, self.config, lanes)
         self.lanes = self.state.L
         self._hops = np.zeros(1024, dtype=np.int64)
-        #: credits in flight: (apply_cycle, lanes, routers, ports, vcs)
-        self._pending_credits: Deque[
-            Tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-        ] = deque()
+        #: credits in flight: (apply_cycle, flat output cells)
+        self._pending_credits: Deque[Tuple[int, np.ndarray]] = deque()
         self.kernel_launches = 0
         self._lane_views = [BatchedSimdNetwork(self, i) for i in range(self.lanes)]
 
@@ -92,19 +90,22 @@ class SimdBatch:
             view._inject_flits(now)
         st = self.state
         route_compute(st)
-        va = vc_allocate(st)
-        grants, link_moves, cl, cr, cp, cv = switch_traverse(
+        allocated = vc_allocate(st)
+        granted, moved, credit_cells = switch_traverse(
             st, now, self._dispatch_eject, self._hops
         )
         self.kernel_launches += 4
-        if len(cl):
+        if len(credit_cells):
             self._pending_credits.append(
-                (now + self.config.credit_delay, cl, cr, cp, cv)
+                (now + self.config.credit_delay, credit_cells)
             )
-        for i, view in enumerate(self._lane_views):
-            view.va_grants += int(va[i])
-            g = int(grants[i])
-            m = int(link_moves[i])
+        for view, a, g, m in zip(
+            self._lane_views,
+            self._per_lane(allocated),
+            self._per_lane(granted),
+            self._per_lane(moved),
+        ):
+            view.va_grants += a
             view.switch_grants += g
             view.link_traversals += m
             view.buffer_writes += m
@@ -122,20 +123,27 @@ class SimdBatch:
     # ------------------------------------------------------------------
     def _apply_credits(self, now: int) -> None:
         while self._pending_credits and self._pending_credits[0][0] <= now:
-            _, lane, r, p, v = self._pending_credits.popleft()
-            np.add.at(self.state.credits, (lane, r, p, v), 1)
+            _, cells = self._pending_credits.popleft()
+            # The switch grants one flit per input port and cycle, so one
+            # credit per upstream output port: a batch's cells never repeat.
+            self.state.credits_f[cells] += 1
 
-    def _dispatch_eject(
-        self,
-        lanes: np.ndarray,
-        pkt_idx: np.ndarray,
-        seq: np.ndarray,
-        flags: np.ndarray,
-        routers: np.ndarray,
-    ) -> None:
-        tails = (flags & FLAG_TAIL) != 0
-        for lane, idx in zip(lanes[tails], pkt_idx[tails]):
-            self._lane_views[int(lane)]._eject_packet(int(idx))
+    def _lane_of(self, cells: np.ndarray) -> np.ndarray:
+        """The lane each flat cell index lies in."""
+        st = self.state
+        return cells // (st.R * st.P * st.V)
+
+    def _per_lane(self, cells: np.ndarray) -> List[int]:
+        """How many of the flat ``cells`` lie in each lane."""
+        if self.lanes == 1:
+            return [len(cells)]
+        return np.bincount(self._lane_of(cells), minlength=self.lanes).tolist()
+
+    def _dispatch_eject(self, cells: np.ndarray, pkt_idx: np.ndarray) -> None:
+        """Hand each ejected tail flit's packet to its lane's view."""
+        views = self._lane_views
+        for lane, idx in zip(self._lane_of(cells).tolist(), pkt_idx.tolist()):
+            views[lane]._eject_packet(idx)
 
     def grow_hops(self, needed: int) -> None:
         if needed <= len(self._hops):
@@ -243,15 +251,21 @@ class BatchedSimdNetwork:
 
     def _inject_flits(self, now: int) -> None:
         st = self.batch.state
-        lane = self.lane_index
+        count, head = st.count_f, st.head_f
+        B = st.B
+        router_cells = st.P * st.V
+        lane_router = self.lane_index * st.R
+        ready = now + self.config.router_delay
         done = []
         for rid in self._active_sources:
             source = self._sources[rid]
+            # first flat cell of this router's local input port
+            local = (lane_router + rid) * router_cells + LOCAL * st.V
             if source.flits_left == 0:
                 if not source.pending:
                     done.append(rid)
                     continue
-                vc = self._free_local_vc(rid)
+                vc = self._free_local_vc(local)
                 if vc is None:
                     continue
                 packet = source.pending.popleft()
@@ -262,19 +276,20 @@ class BatchedSimdNetwork:
                 source.size = packet.size_flits
                 source.flits_left = packet.size_flits
                 source.vc = vc
-            vc = source.vc
-            if st.count[lane, rid, LOCAL, vc] >= st.B:
+            cell = local + source.vc
+            occupancy = count.item(cell)
+            if occupancy >= B:
                 continue
             seq = source.size - source.flits_left
             flags = (FLAG_HEAD if seq == 0 else 0) | (
                 FLAG_TAIL if source.flits_left == 1 else 0
             )
-            slot = (st.head[lane, rid, LOCAL, vc] + st.count[lane, rid, LOCAL, vc]) % st.B
-            st.buf_pkt[lane, rid, LOCAL, vc, slot] = source.pkt_index
-            st.buf_seq[lane, rid, LOCAL, vc, slot] = seq
-            st.buf_flags[lane, rid, LOCAL, vc, slot] = flags
-            st.buf_ready[lane, rid, LOCAL, vc, slot] = now + self.config.router_delay
-            st.count[lane, rid, LOCAL, vc] += 1
+            slot = cell * B + (head.item(cell) + occupancy) % B
+            st.buf_pkt_f[slot] = source.pkt_index
+            st.buf_seq_f[slot] = seq
+            st.buf_flags_f[slot] = flags
+            st.buf_ready_f[slot] = ready
+            count[cell] = occupancy + 1
             self.buffer_writes += 1
             source.flits_left -= 1
             if source.flits_left == 0:
@@ -284,14 +299,15 @@ class BatchedSimdNetwork:
         for rid in done:
             self._active_sources.pop(rid, None)
 
-    def _free_local_vc(self, rid: int) -> Optional[int]:
+    def _free_local_vc(self, local: int) -> Optional[int]:
+        """First idle VC of the local input port whose flat cells start at ``local``."""
         st = self.batch.state
-        lane = self.lane_index
         for vc in range(st.V):
+            cell = local + vc
             if (
-                not st.active[lane, rid, LOCAL, vc]
-                and st.route_port[lane, rid, LOCAL, vc] < 0
-                and st.count[lane, rid, LOCAL, vc] == 0
+                not st.active_f[cell]
+                and st.route_port_f[cell] < 0
+                and st.count_f[cell] == 0
             ):
                 return vc
         return None

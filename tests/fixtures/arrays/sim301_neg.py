@@ -8,6 +8,7 @@ SHAPE_CONTRACT = {
         "lane_axis": "L",
         "fields": {
             "count": {"shape": "L,R,V", "dtype": "int32"},
+            "count_f": {"shape": "L*R*V", "flat_of": "count"},
             "buf": {"shape": "L,R,V", "dtype": "int32", "values": "pkt"},
         },
         "domains": {"pkt": {"lane_partitioned": True}},
@@ -23,6 +24,20 @@ def allocate(st: "State") -> np.ndarray:
     best = np.full(st.L * st.R * st.V, 1 << 60, dtype=np.int64)
     np.minimum.at(best, key, score)
     return best
+
+
+def allocate_flat(st: "State") -> np.ndarray:
+    cell = np.flatnonzero(st.count_f > 0)
+    score = cell % st.V
+    key = cell // st.V  # (lane, r): the quotient keeps the lane
+    best = np.full(st.L * st.R, 1 << 60, dtype=np.int64)
+    np.minimum.at(best, key, score)
+    return best
+
+
+def tally_flat(st: "State") -> np.ndarray:
+    cell = st.count_f.nonzero()[0]
+    return np.bincount(cell // (st.R * st.V), minlength=st.L)  # the lane
 
 
 def tally(st: "State") -> np.ndarray:

@@ -8,6 +8,7 @@ SHAPE_CONTRACT = {
         "lane_axis": "L",
         "fields": {
             "count": {"shape": "L,R,V", "dtype": "int32"},
+            "count_f": {"shape": "L*R*V", "flat_of": "count"},
             "score_tbl": {"shape": "L,R,V", "dtype": "int64"},
         },
         "domains": {},
@@ -21,6 +22,15 @@ def allocate(st: "State") -> np.ndarray:
     score = r * st.V + v
     key = r * st.V + v  # lane dropped: buckets collide across lanes
     best = np.full(st.R * st.V, 1 << 60, dtype=np.int64)
+    np.minimum.at(best, key, score)  # SIM301
+    return best
+
+
+def allocate_flat(st: "State") -> np.ndarray:
+    cell = np.flatnonzero(st.count_f > 0)
+    score = cell % st.V
+    key = cell // st.V % st.R  # the remainder drops the lane
+    best = np.full(st.R, 1 << 60, dtype=np.int64)
     np.minimum.at(best, key, score)  # SIM301
     return best
 

@@ -8,6 +8,8 @@ SHAPE_CONTRACT = {
         "lane_axis": "L",
         "fields": {
             "count": {"shape": "L,R,V", "dtype": "int32"},
+            "count_f": {"shape": "L*R*V", "flat_of": "count"},
+            "ptr_f": {"shape": "L*R", "dtype": "int32"},
             "score_tbl": {"shape": "L,R,V", "dtype": "int64"},
         },
         "domains": {},
@@ -46,3 +48,21 @@ def overwrite(st: "State") -> None:
     key = lane * st.R + r
     marks = np.zeros(st.L * st.R, dtype=np.int64)
     marks[key] = 1  # plain overwrite, not read-modify-write
+
+
+def decrement_flat(st: "State") -> None:
+    cell = np.flatnonzero(st.count_f > 0)  # each cell at most once
+    keep = (st.count_f[cell] > 1).nonzero()[0]
+    st.count_f[cell[keep]] -= 1  # a selection of distinct cells
+
+
+def arbitrate_flat(st: "State") -> None:
+    cell = np.flatnonzero(st.count_f > 0)
+    key = cell // st.V
+    score = cell % st.V
+    best = np.full(st.L * st.R, 1 << 60, dtype=np.int64)
+    np.minimum.at(best, key, score)
+    won = score == best[key]
+    keep = won.nonzero()[0]  # selecting by a winner mask winnows
+    st.ptr_f[key[keep]] += 1
+    st.count_f[key[keep] * st.V + score[keep]] -= 1  # rebuilt cell, still unique

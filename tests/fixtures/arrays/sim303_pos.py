@@ -8,6 +8,8 @@ SHAPE_CONTRACT = {
         "lane_axis": "L",
         "fields": {
             "count": {"shape": "L,R,V", "dtype": "int32"},
+            "count_f": {"shape": "L*R*V", "flat_of": "count"},
+            "ptr_f": {"shape": "L*R", "dtype": "int32"},
         },
         "domains": {},
     },
@@ -29,3 +31,8 @@ def arbitrate(st: "State") -> np.ndarray:
     best = np.full(st.L * st.R, 1 << 60, dtype=np.int64)
     best[key] = np.minimum(best[key], score)  # SIM303: RMW gather-scatter
     return best
+
+
+def accumulate_flat(st: "State") -> None:
+    cell = np.flatnonzero(st.count_f > 0)
+    st.ptr_f[cell // st.V] += 1  # SIM303: several v share one (lane, r)

@@ -8,6 +8,8 @@ SHAPE_CONTRACT = {
         "lane_axis": "L",
         "fields": {
             "count": {"shape": "L,R,V", "dtype": "int32"},
+            "count_f": {"shape": "L*R*V", "flat_of": "count"},
+            "ptr_f": {"shape": "L*R", "dtype": "int32"},
         },
         "domains": {},
     },
@@ -35,3 +37,13 @@ def tail_slice(st: "State") -> np.ndarray:
 def expand(st: "State") -> np.ndarray:
     lane, r, v = np.nonzero(st.count > 0)
     return st.count[lane, r, v][:, None]  # newaxis adds, not consumes
+
+
+def gather_flat(st: "State") -> np.ndarray:
+    cell = np.flatnonzero(st.count_f > 0)
+    return st.ptr_f[cell // st.V] + st.count_f[cell]  # each in its family
+
+
+def flatten(st: "State") -> np.ndarray:
+    cell = np.flatnonzero(st.count.ravel() > 0)  # C order: an (L,R,V) index
+    return st.count_f[cell]

@@ -1,4 +1,4 @@
-"""SIM305 positives: index arity, unpack arity, and axis out of range."""
+"""SIM305 positives: index arity, unpack arity, axis out of range, flat families."""
 
 import numpy as np
 
@@ -8,6 +8,8 @@ SHAPE_CONTRACT = {
         "lane_axis": "L",
         "fields": {
             "count": {"shape": "L,R,V", "dtype": "int32"},
+            "count_f": {"shape": "L*R*V", "flat_of": "count"},
+            "ptr_f": {"shape": "L*R", "dtype": "int32"},
         },
         "domains": {},
     },
@@ -26,3 +28,13 @@ def too_many_axes(st: "State") -> np.ndarray:
 
 def bad_axis(st: "State") -> np.ndarray:
     return st.count.sum(axis=3)  # SIM305: axis 3 out of range for rank 3
+
+
+def wrong_family(st: "State") -> np.ndarray:
+    cell = np.flatnonzero(st.count_f > 0)
+    return st.ptr_f[cell]  # SIM305: an (L,R,V) index into an (L,R) view
+
+
+def flat_view_as_2d(st: "State") -> np.ndarray:
+    cell = np.flatnonzero(st.count_f > 0)
+    return st.count_f[cell // st.V, cell % st.V]  # SIM305: 2 indices, rank 1

@@ -24,36 +24,47 @@ TREE = (
     "noc_gpu/kernels.py",
 )
 
-#: (rule, old substring, new substring) applied to engine/kernels.py
+#: name -> (rule, old substring, new substring) applied to engine/kernels.py
 MUTATIONS = {
-    "lane-isolation": (
-        # drop the lane fold from the arbitration bucket key, so VC
-        # grants from different lanes collide in one bucket
-        "target = ((lane * st.R + r) * st.P + op) * st.V + ov",
-        "target = (r * st.P + op) * st.V + ov",
+    "lane-fold-dropped": (
+        "lane-isolation",
+        # reduce the VC-allocation bucket key modulo one lane's cells, so
+        # grants from different lanes collide in lane 0's buckets
+        "np.minimum.at(best, target, rank)",
+        "np.minimum.at(best, target % (st.R * PV), rank)",
     ),
-    "dtype-narrowing": (
+    "owner-cast-deannotated": (
+        "dtype-narrowing",
         # replace the bound-annotated owner dtype with a bare int16
-        "(pw * st.V + vw).astype(OWNER_DTYPE)",
-        "(pw * st.V + vw).astype(np.int16)",
+        "in_code.astype(OWNER_DTYPE)",
+        "in_code.astype(np.int16)",
     ),
-    "index-aliasing": (
+    "scatter-min-to-rmw": (
+        "index-aliasing",
         # rewrite the unbuffered scatter-min as a gather/scatter RMW,
         # which loses all but one update per duplicated bucket
-        "np.minimum.at(best, target, score)",
-        "best[target] = np.minimum(best[target], score)",
+        "np.minimum.at(best, target, rank)",
+        "best[target] = np.minimum(best[target], rank)",
     ),
     "lane-loop": (
+        "lane-loop",
         # serialize the lane axis with a python-level loop
-        "    zeros = np.zeros(st.L, dtype=np.int64)\n",
-        "    zeros = np.zeros(st.L, dtype=np.int64)\n"
+        "    PV = st.P * st.V\n",
+        "    PV = st.P * st.V\n"
         "    for _lane in range(st.L):\n"
         "        pass\n",
     ),
-    "shape-contract": (
-        # unpack one component too many from a rank-4 nonzero
-        "lane, r, p, v = np.nonzero(req)",
-        "lane, r, p, v, extra = np.nonzero(req)",
+    "flat-view-indexed-2d": (
+        "shape-contract",
+        # index the 1-d buffer view as if it still had a slot axis
+        "st.buf_pkt_f[cell * st.B + st.head_f[cell]]",
+        "st.buf_pkt_f[cell, st.head_f[cell]]",
+    ),
+    "wrong-flat-family": (
+        "shape-contract",
+        # forget that the pointer views are per port, not per VC
+        "st.sa_in_ptr_f[in_pc] = _succ(V)[v]",
+        "st.sa_in_ptr_f[cell] = _succ(V)[v]",
     ),
 }
 
@@ -68,7 +79,7 @@ def _build_tree(tmp_path, mutation=None):
         old, new = mutation
         target = root / "engine" / "kernels.py"
         source = target.read_text()
-        assert old in source, f"mutation anchor vanished: {old!r}"
+        assert source.count(old) == 1, f"mutation anchor not unique: {old!r}"
         target.write_text(source.replace(old, new, 1))
     return root
 
@@ -79,9 +90,10 @@ def test_unmutated_kernels_are_clean(tmp_path):
     assert report.violations == []
 
 
-@pytest.mark.parametrize("rule", sorted(MUTATIONS))
-def test_mutation_is_caught(rule, tmp_path):
-    root = _build_tree(tmp_path, MUTATIONS[rule])
+@pytest.mark.parametrize("name", sorted(MUTATIONS))
+def test_mutation_is_caught(name, tmp_path):
+    rule, old, new = MUTATIONS[name]
+    root = _build_tree(tmp_path, (old, new))
     report = kernels_lint_paths([root], cache_dir=tmp_path / "cache")
     assert [v.rule for v in report.violations] == [rule]
     (violation,) = report.violations

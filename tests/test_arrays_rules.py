@@ -25,11 +25,11 @@ class TestMirroredFixtures:
     @pytest.mark.parametrize(
         "rule, count",
         [
-            ("lane-isolation", 3),
+            ("lane-isolation", 4),
             ("dtype-narrowing", 2),
-            ("index-aliasing", 2),
+            ("index-aliasing", 3),
             ("lane-loop", 3),
-            ("shape-contract", 3),
+            ("shape-contract", 5),
         ],
     )
     def test_positive_fixture_fires(self, rule, count, tmp_path):
