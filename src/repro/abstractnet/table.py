@@ -37,6 +37,8 @@ class TableLatencyModel(AbstractNetworkModel):
         self.alpha = alpha
         #: (distance, msg_class) -> EWMA of size-normalized latency
         self._table: Dict[Tuple[int, int], float] = {}
+        #: distance -> the zero-load seed of its buckets, filled on first use
+        self._seeds: Dict[int, float] = {}
         self.observations = 0
 
     # ------------------------------------------------------------------
@@ -48,10 +50,11 @@ class TableLatencyModel(AbstractNetworkModel):
         self, src: int, dst: int, size_flits: int, msg_class: int, now: int
     ) -> int:
         hops = self.topo.node_distance(src, dst)
-        key = (hops, msg_class)
-        normalized = self._table.get(key)
+        normalized = self._table.get((hops, msg_class))
         if normalized is None:
-            normalized = self._base(hops)
+            normalized = self._seeds.get(hops)
+            if normalized is None:
+                normalized = self._seeds[hops] = self._base(hops)
         return max(1, round(normalized + (size_flits - 1)))
 
     def observe(

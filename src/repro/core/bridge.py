@@ -33,12 +33,7 @@ class MessageBridge:
             )
         self.packets_created += 1
         return Packet(
-            src=msg.src,
-            dst=msg.dst,
-            size_flits=msg.size_flits,
-            msg_class=msg.msg_class,
-            inject_cycle=inject_cycle,
-            payload=msg,
+            msg.src, msg.dst, msg.size_flits, msg.msg_class, inject_cycle, msg
         )
 
     def to_message(self, packet: Packet) -> Message:

@@ -28,11 +28,10 @@ supplies the latencies the system actually uses.
 
 from __future__ import annotations
 
-import functools
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import ConfigError, SimulationError
 from ..fullsys.cmp import CmpSystem
@@ -133,6 +132,10 @@ class CoSimulator:
         #: checkpoint-restored CoSimulator resume run() without re-running
         #: system start-up (which would double-schedule core wake-ups).
         self._started = False
+        #: tail-drain progress guard: the (sent, delivered) counts last seen
+        #: to move, and the cycle by which they must move again
+        self._tail_progress: Optional[Tuple[int, int]] = None
+        self._tail_deadline = 0
         system.transport = self._on_message
 
     # ------------------------------------------------------------------
@@ -140,11 +143,11 @@ class CoSimulator:
     # ------------------------------------------------------------------
     def _on_message(self, msg: Message) -> None:
         self.messages_sent += 1
-        now = self.system.now
-        if self.network.inline:
-            self.network.send(msg, now)
-            for delivered, when, latency in self.network.pop_deliveries():
-                self._schedule_delivery(delivered, when, record_feedback=False)
+        network = self.network
+        if network.inline:
+            network.send(msg, self.system.events.now)
+            for delivered, when, _ in network.pop_deliveries():
+                self._schedule_delivery(delivered, when, False)
         else:
             self._outbox.append(msg)
         if self.shadow is not None:
@@ -153,20 +156,22 @@ class CoSimulator:
     def _schedule_delivery(
         self, msg: Message, when: int, record_feedback: bool
     ) -> None:
-        deliver_at = max(when, self.system.now)
-        if deliver_at > when:
+        events = self.system.events
+        deliver_at = events.now
+        if when < deliver_at:
             self.clamped += 1
+        else:
+            deliver_at = when
         latency = deliver_at - msg.created_cycle
-        self._applied[msg.msg_class].append(latency)
-        self._applied[-1].append(latency)
+        applied = self._applied
+        applied[msg.msg_class].append(latency)
+        applied[-1].append(latency)
         self.deliveries += 1
         if record_feedback:
             self.feedback.record(msg, latency)
-        # functools.partial of a bound method (not a lambda) so the pending
+        # A bound method plus its argument (not a lambda) so the pending
         # event heap stays picklable for checkpoint/restore.
-        self.system.events.schedule(
-            deliver_at, functools.partial(self.system.deliver, msg)
-        )
+        events.schedule(deliver_at, self.system.deliver, msg)
 
     # ------------------------------------------------------------------
     # Window phases
@@ -228,7 +233,7 @@ class CoSimulator:
         t0 = time.perf_counter()  # simlint: allow[wall-clock]
         if not self.network.inline:
             for msg, when, latency in self.network.pop_deliveries():
-                self._schedule_delivery(msg, when, record_feedback=True)
+                self._schedule_delivery(msg, when, True)
         if self.shadow is not None:
             for msg, when, latency in self.shadow.pop_deliveries():
                 # Shadow deliveries feed the reciprocal table only; the
@@ -259,17 +264,33 @@ class CoSimulator:
             or (self.shadow is not None and self.shadow.in_flight)
         )
 
-    def _drain_guard(self) -> int:
-        """The cycle beyond which a non-empty tail is a wedge.
+    def _tail_stalled(self) -> bool:
+        """Progress guard of the tail drain: a non-empty tail is a wedge
+        once a whole guard interval passes with no message sent or
+        delivered.  Counting messages, not events, means a self-rescheduling
+        event cannot hold a stuck tail open, while a long tail that keeps
+        delivering (misses serialised at a hot line's directory) drains.
 
-        A retransmitting network model may legitimately need far longer
-        than the default guard (bounded exponential backoff between
-        attempts); it advertises its worst case via ``drain_guard_cycles``.
+        A retransmitting network model may legitimately go far longer
+        between deliveries than the default interval (bounded exponential
+        backoff between attempts); it advertises its worst case via
+        ``drain_guard_cycles``.
         """
-        return self.system.now + max(
-            10_000,
-            100 * self.quantum.next_quantum(),
-            getattr(self.network, "drain_guard_cycles", 0),
+        progress = (self.messages_sent, self.deliveries)
+        if progress != self._tail_progress:
+            self._tail_progress = progress
+            self._tail_deadline = self.system.now + max(
+                10_000,
+                100 * self.quantum.next_quantum(),
+                getattr(self.network, "drain_guard_cycles", 0),
+            )
+        return self.system.now > self._tail_deadline
+
+    def _tail_error(self, where: str = "") -> SimulationError:
+        return SimulationError(
+            "co-simulation tail failed to drain "
+            f"({self.system.events.pending} events, "
+            f"{getattr(self.network, 'in_flight', 0)} packets left{where})"
         )
 
     # ------------------------------------------------------------------
@@ -299,14 +320,9 @@ class CoSimulator:
         """Deliver the protocol's trailing messages after the last core
         finishes (writebacks, acks, unblocks) so message accounting balances
         and the final system state is quiescent."""
-        guard = self._drain_guard()
         while self._tail_pending():
-            if self.system.now > guard:
-                raise SimulationError(
-                    "co-simulation tail failed to drain "
-                    f"({self.system.events.pending} events, "
-                    f"{getattr(self.network, 'in_flight', 0)} packets left)"
-                )
+            if self._tail_stalled():
+                raise self._tail_error()
             target = self.system.now + self.quantum.next_quantum()
             self.system.run_until(target)
             self._advance_network(target)

@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..core.config import TargetConfig, build_cosim
 from ..core.cosim import CoSimResult, CoSimulator
-from ..errors import ConfigError, SimulationError
+from ..errors import ConfigError
 from .api import EngineDecision, KERNEL_VERSION, batch_supported
 from .network import SimdBatch
 
@@ -126,7 +126,6 @@ def _run_lockstep(
     wall_start = time.perf_counter()  # simlint: allow[wall-clock]
     n = len(cosims)
     phase = [_MAIN] * n
-    guards = [0] * n
     results: List[Optional[CoSimResult]] = [None] * n
     # Same-shape implies identical fixed quanta (part of the shape key).
     window = cosims[0].quantum.next_quantum()
@@ -139,12 +138,11 @@ def _run_lockstep(
 
     def enter_drain(i: int) -> None:
         # Mirrors run(): after the last core finishes, either the tail is
-        # already empty or we keep draining windows under a guard.
+        # already empty or we keep draining windows under its progress guard.
         if not cosims[i]._tail_pending():
             finish(i)
         else:
             phase[i] = _DRAIN
-            guards[i] = cosims[i]._drain_guard()
 
     for i, cosim in enumerate(cosims):
         cosim._begin()
@@ -167,13 +165,8 @@ def _run_lockstep(
                 cosim._phase_system(target)
                 cosim._phase_flush()
             elif phase[i] == _DRAIN:
-                if cosim.system.now > guards[i]:
-                    raise SimulationError(
-                        "co-simulation tail failed to drain "
-                        f"({cosim.system.events.pending} events, "
-                        f"{getattr(cosim.network, 'in_flight', 0)} packets "
-                        f"left in lane {i})"
-                    )
+                if cosim._tail_stalled():
+                    raise cosim._tail_error(f" in lane {i}")
                 cosim.system.run_until(target)
                 cosim._phase_flush()
 

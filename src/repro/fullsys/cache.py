@@ -53,12 +53,9 @@ class Cache:
         return cls(total_lines // ways, ways)
 
     # ------------------------------------------------------------------
-    def _set_for(self, line: int) -> OrderedDict:
-        return self._sets[line % self.num_sets]
-
     def lookup(self, line: int, touch: bool = True) -> Optional[str]:
         """State of ``line`` or None; ``touch`` refreshes LRU on hit."""
-        entry = self._set_for(line)
+        entry = self._sets[line % self.num_sets]
         state = entry.get(line)
         if state is None:
             self.misses += 1
@@ -70,18 +67,18 @@ class Cache:
 
     def peek(self, line: int) -> Optional[str]:
         """State of ``line`` without LRU or statistics side effects."""
-        return self._set_for(line).get(line)
+        return self._sets[line % self.num_sets].get(line)
 
     def set_state(self, line: int, state: str) -> None:
         """Update the state of a line that must already be resident."""
-        entry = self._set_for(line)
+        entry = self._sets[line % self.num_sets]
         if line not in entry:
             raise ConfigError(f"line {line} not resident; use insert()")
         entry[line] = state
 
     def insert(self, line: int, state: str) -> Optional[Tuple[int, str]]:
         """Insert ``line``; returns the evicted ``(line, state)`` if any."""
-        entry = self._set_for(line)
+        entry = self._sets[line % self.num_sets]
         victim: Optional[Tuple[int, str]] = None
         if line not in entry and len(entry) >= self.ways:
             victim = entry.popitem(last=False)  # LRU = oldest
@@ -92,7 +89,7 @@ class Cache:
 
     def invalidate(self, line: int) -> Optional[str]:
         """Drop ``line``; returns its state if it was resident."""
-        return self._set_for(line).pop(line, None)
+        return self._sets[line % self.num_sets].pop(line, None)
 
     # ------------------------------------------------------------------
     def resident_lines(self) -> Iterator[Tuple[int, str]]:

@@ -16,18 +16,17 @@ from __future__ import annotations
 
 import functools
 from collections import defaultdict
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import ConfigError, ProtocolError, SimulationError
 from ..noc.topology import Topology
 from .address import AddressMap
 from .config import CmpConfig
 from .coherence import (
+    MEMORY_TABLE,
     Message,
     MessageKind,
-    cache_bound_kinds,
-    home_bound_kinds,
-    memory_bound_kinds,
+    handler_table,
     message_profile,
 )
 from .core_model import Core, CoreProgram, Mshr
@@ -36,12 +35,6 @@ from .events import EventQueue
 from .memory import MemoryController, assign_controllers
 
 __all__ = ["CmpSystem", "FixedTransport"]
-
-# Delivery routing is derived from the protocol tables so the dispatch
-# below can never drift from the specification the verifier checks.
-_HOME_KINDS = home_bound_kinds()
-_CORE_KINDS = cache_bound_kinds()
-_MEM_KINDS = memory_bound_kinds()
 
 
 class FixedTransport:
@@ -54,12 +47,9 @@ class FixedTransport:
         self.latency = latency
 
     def __call__(self, msg: Message) -> None:
-        # Scheduled callbacks are partials of bound methods (never lambdas)
-        # so the pending event heap stays picklable for checkpoint/restore.
-        self.system.events.schedule(
-            self.system.now + self.latency,
-            functools.partial(self.system.deliver, msg),
-        )
+        # Scheduled callbacks are bound methods plus arguments (never
+        # lambdas) so the pending event heap pickles for checkpoint/restore.
+        self.system.events.schedule_in(self.latency, self.system.deliver, msg)
 
 
 class CmpSystem:
@@ -90,6 +80,14 @@ class CmpSystem:
             )
         self.events = EventQueue()
         self.address_map = AddressMap(topo.num_nodes)
+        #: kind -> (message class, size in flits), resolved once per system
+        self._profiles: Dict[str, Tuple[int, int]] = {}
+        for kind in _ROUTES:
+            msg_class, carries_data = message_profile(kind)
+            self._profiles[kind] = (
+                msg_class,
+                self.config.data_flits if carries_data else self.config.ctrl_flits,
+            )
         self.transport: Callable[[Message], None] = transport or FixedTransport(self)
 
         mc_nodes = self.config.mem_controllers
@@ -117,7 +115,11 @@ class CmpSystem:
         self.cores = [Core(i, self, programs[i]) for i in range(topo.num_nodes)]
         self.homes = [HomeController(i, self) for i in range(topo.num_nodes)]
 
-        # Barrier bookkeeping: arrivals per phase index.
+        # Barrier bookkeeping: arrivals per phase index, out of the cores
+        # whose program takes part in barriers at all.
+        self._barrier_participants = sum(
+            1 for program in programs if getattr(program, "barriers", True)
+        )
         self._barrier_counts: Dict[int, int] = defaultdict(int)
         self._barrier_waiting: Dict[int, List[int]] = defaultdict(list)
         self._finished_cores = 0
@@ -129,6 +131,7 @@ class CmpSystem:
         self.local_messages = 0
         self.flits_sent = 0
         self.miss_latencies: List[int] = []
+        self._miss_latency_total = 0  # running sum: summary() stays O(1)
 
     # ------------------------------------------------------------------
     @property
@@ -199,33 +202,27 @@ class CmpSystem:
         an event at their creation time, so the transport always sees
         messages at ``now == created_cycle``.
         """
-        created = (self.now if at is None else at) + delay
-        msg_class, carries_data = message_profile(kind)
-        size = self.config.data_flits if carries_data else self.config.ctrl_flits
+        events = self.events
+        now = events.now
+        created = (now if at is None else at) + delay
+        try:
+            msg_class, size = self._profiles[kind]
+        except KeyError:
+            raise ProtocolError(f"unknown message kind {kind!r}") from None
         msg = Message(
-            kind=kind,
-            src=src,
-            dst=dst,
-            line=line,
-            requester=requester,
-            size_flits=size,
-            msg_class=msg_class,
-            created_cycle=created,
-            acks_expected=acks_expected,
+            kind, src, dst, line, requester, size, msg_class, created, acks_expected
         )
         self.messages_by_kind[kind] += 1
-        if created > self.now:
-            self.events.schedule(created, functools.partial(self._dispatch, msg))
+        if created > now:
+            events.schedule(created, self._dispatch, msg)
         else:
             self._dispatch(msg)
 
     def _dispatch(self, msg: Message) -> None:
+        """Route ``msg`` at its creation cycle (``now == created_cycle``)."""
         if msg.src == msg.dst:
             self.local_messages += 1
-            self.events.schedule(
-                self.now + self.config.local_latency,
-                functools.partial(self.deliver, msg),
-            )
+            self.events.schedule_in(self.config.local_latency, self.deliver, msg)
         else:
             self.network_messages += 1
             self.flits_sent += msg.size_flits
@@ -234,48 +231,50 @@ class CmpSystem:
     def deliver(self, msg: Message) -> None:
         """Hand a message to its destination tile (called by the transport
         at delivery time)."""
-        if msg.kind in _MEM_KINDS:
-            self._deliver_memory(msg)
-        elif msg.kind in _HOME_KINDS:
-            self.homes[msg.dst].handle_message(msg)
-        elif msg.kind in _CORE_KINDS:
-            self.cores[msg.dst].handle_message(msg)
-        else:
+        route = _ROUTES.get(msg.kind)
+        if route is None:
             raise ProtocolError(f"undeliverable message {msg!r}")
+        tiles, handler = route
+        handler(getattr(self, tiles)[msg.dst] if tiles else self, msg)
 
-    def _deliver_memory(self, msg: Message) -> None:
+    def _memctrl(self, msg: Message):
         mc = self.memctrls.get(msg.dst)
         if mc is None:
             raise ProtocolError(f"no memory controller at node {msg.dst}: {msg!r}")
-        if msg.kind == MessageKind.MEM_WB:
-            mc.writeback(msg.line, self.now)
-            return
+        return mc
+
+    def _on_mem_wb(self, msg: Message) -> None:
+        self._memctrl(msg).writeback(msg.line, self.events.now)
+
+    def _on_mem_read(self, msg: Message) -> None:
         # The completion callback is a partial of a bound method, not a
         # closure: the DRAM controller stores it in its request queue, which
         # must pickle for checkpoint/restore.
-        mc.read(msg.line, self.now, functools.partial(self._memory_ready, msg))
+        self._memctrl(msg).read(
+            msg.line, self.events.now, functools.partial(self._memory_ready, msg)
+        )
 
     def _memory_ready(self, msg: Message, ready: int) -> None:
         """A memory read issued for ``msg`` completes at cycle ``ready``."""
-        self.events.schedule(ready, functools.partial(self._send_mem_data, msg))
+        self.events.schedule(ready, self._send_mem_data, msg)
 
     def _send_mem_data(self, msg: Message) -> None:
         self.send_protocol(
-            MessageKind.MEM_DATA,
-            src=msg.dst,
-            dst=msg.src,
-            line=msg.line,
-            requester=msg.requester,
+            MessageKind.MEM_DATA, msg.dst, msg.src, msg.line, msg.requester
         )
+
+    #: kind -> handler for the memory-bound kinds (the system is their port)
+    HANDLERS = handler_table(
+        {MessageKind.MEM_READ: _on_mem_read, MessageKind.MEM_WB: _on_mem_wb},
+        MEMORY_TABLE,
+    )
 
     # ------------------------------------------------------------------
     # Barrier and completion
     # ------------------------------------------------------------------
     def barrier_arrive(self, core_id: int, phase: int, t: int) -> None:
         """A core's segment reached the end of ``phase`` at local time ``t``."""
-        self.events.schedule(
-            t, functools.partial(self._barrier_register, core_id, phase)
-        )
+        self.events.schedule(t, self._barrier_register, core_id, phase)
 
     def _barrier_register(self, core_id: int, phase: int) -> None:
         core = self.cores[core_id]
@@ -284,10 +283,7 @@ class CmpSystem:
             return
         self._barrier_counts[phase] += 1
         self._barrier_waiting[phase].append(core_id)
-        participants = sum(
-            1 for c in self.cores if getattr(c.program, "barriers", True)
-        )
-        if self._barrier_counts[phase] == participants:
+        if self._barrier_counts[phase] == self._barrier_participants:
             release = self.now + self.config.barrier_latency
             for cid in self._barrier_waiting.pop(phase):
                 self.events.schedule(release, self.cores[cid].resume_from_barrier)
@@ -298,7 +294,9 @@ class CmpSystem:
             self.finish_cycle = self.now
 
     def record_fill(self, core_id: int, mshr: Mshr) -> None:
-        self.miss_latencies.append(self.now - mshr.issued_at)
+        latency = self.events.now - mshr.issued_at
+        self.miss_latencies.append(latency)
+        self._miss_latency_total += latency
 
     # ------------------------------------------------------------------
     # Statistics
@@ -309,15 +307,16 @@ class CmpSystem:
     def mean_miss_latency(self) -> float:
         if not self.miss_latencies:
             return 0.0
-        return sum(self.miss_latencies) / len(self.miss_latencies)
+        return self._miss_latency_total / len(self.miss_latencies)
 
     def summary(self) -> Dict[str, float]:
         l1_hits = sum(c.l1.hits for c in self.cores)
         l1_misses = sum(c.l1.misses for c in self.cores)
+        instructions = self.total_instructions()
         return {
             "cycles": float(self.now),
-            "instructions": float(self.total_instructions()),
-            "system_ipc": self.total_instructions() / self.now if self.now else 0.0,
+            "instructions": float(instructions),
+            "system_ipc": instructions / self.now if self.now else 0.0,
             "network_messages": float(self.network_messages),
             "local_messages": float(self.local_messages),
             "flits_sent": float(self.flits_sent),
@@ -333,3 +332,14 @@ class CmpSystem:
             f"CmpSystem({self.topo!r}, now={self.now}, "
             f"finished={self._finished_cores}/{len(self.cores)})"
         )
+
+
+#: kind -> (the CmpSystem tile array the kind is bound for, or "" for the
+#: system's own memory port; handler).  Merged from the controllers' handler
+#: tables, each held to its protocol table in :mod:`.coherence`, so delivery
+#: can never drift from the specification the verifier checks.
+_ROUTES: Dict[str, Tuple[str, Callable]] = {
+    kind: (tiles, handler)
+    for tiles, owner in (("homes", HomeController), ("cores", Core), ("", CmpSystem))
+    for kind, handler in owner.HANDLERS.items()
+}

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, FrozenSet, Iterable, Optional, Set, Tuple
+from typing import Callable, Deque, Dict, FrozenSet, Iterable, Optional, Set, Tuple
 
 from ..errors import ProtocolError
 from ..noc.packet import MessageClass
@@ -46,9 +46,7 @@ __all__ = [
     "CACHE_TABLE",
     "MEMORY_TABLE",
     "BLOCKING_WAITS",
-    "home_bound_kinds",
-    "cache_bound_kinds",
-    "memory_bound_kinds",
+    "handler_table",
 ]
 
 
@@ -113,12 +111,13 @@ def restore_message_id_state(state: int) -> None:
     _msg_ids.restore(state)
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """One protocol message travelling between tiles.
 
     ``size_flits`` and ``msg_class`` are what the network sees; everything
-    else is protocol payload.
+    else is protocol payload.  Slotted, and built positionally on the send
+    path: a co-simulation creates one per protocol hop.
     """
 
     kind: str
@@ -146,7 +145,7 @@ BUSY_MEM = "busy_mem"  # waiting for MEM_DATA from a memory controller
 BUSY_UNBLOCK = "busy_unblock"  # waiting for the requester's UNBLOCK
 
 
-@dataclass
+@dataclass(slots=True)
 class DirectoryEntry:
     """Sharing state and transaction context for one line at its home."""
 
@@ -417,22 +416,22 @@ BLOCKING_WAITS: Dict[str, FrozenSet[str]] = {
 }
 
 
-def home_bound_kinds(
-    table: Optional[Dict[Tuple[str, str], TransitionSpec]] = None,
-) -> FrozenSet[str]:
-    """Message kinds addressed to a home/directory controller."""
-    return frozenset(kind for _, kind in (table or DIRECTORY_TABLE))
+def handler_table(
+    handlers: Dict[str, Callable],
+    table: Dict[Tuple[str, str], TransitionSpec],
+) -> Dict[str, Callable]:
+    """``handlers`` (kind -> controller method), held to a protocol table.
 
-
-def cache_bound_kinds(
-    table: Optional[Dict[Tuple[str, str], TransitionSpec]] = None,
-) -> FrozenSet[str]:
-    """Message kinds addressed to an L1/requester controller."""
-    return frozenset(kind for _, kind in (table or CACHE_TABLE))
-
-
-def memory_bound_kinds(
-    table: Optional[Dict[Tuple[str, str], TransitionSpec]] = None,
-) -> FrozenSet[str]:
-    """Message kinds addressed to a memory controller."""
-    return frozenset(kind for _, kind in (table or MEMORY_TABLE))
+    Each controller dispatches through one class-level table, and
+    :class:`~repro.fullsys.cmp.CmpSystem` routes delivery by merging them,
+    so routing is derived from the protocol tables: a kind ``table`` sends
+    to the controller that no handler covers (or the reverse) fails here,
+    at import, before a single cycle is simulated.
+    """
+    kinds = frozenset(kind for _, kind in table)
+    if kinds != handlers.keys():
+        raise ProtocolError(
+            f"handlers cover {sorted(handlers)} but the protocol table "
+            f"routes {sorted(kinds)}"
+        )
+    return handlers

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Protocol, Tuple
 
 from ..errors import ProtocolError, WorkloadError
 from .cache import Cache, CacheLineState
-from .coherence import Message, MessageKind
+from .coherence import CACHE_TABLE, Message, MessageKind, handler_table
 
 __all__ = ["CoreProgram", "Phase", "Core", "Mshr"]
 
@@ -47,7 +47,7 @@ class CoreProgram(Protocol):
         ...
 
 
-@dataclass
+@dataclass(slots=True)
 class Mshr:
     """Miss-status register: one outstanding L1 miss.
 
@@ -91,6 +91,7 @@ class Core:
     def __init__(self, core_id: int, system, program: CoreProgram) -> None:
         self.core_id = core_id
         self.system = system
+        self.events = system.events  # the clock, without the system.now hop
         self.program = program
         cfg = system.config
         self.l1 = Cache.from_geometry(cfg.l1_lines, cfg.l1_ways)
@@ -123,21 +124,24 @@ class Core:
         """Schedule the first execution segment."""
         if not self.program.phases:
             raise WorkloadError(f"core {self.core_id} has an empty program")
-        self.system.events.schedule(self.system.now, self._segment)
+        self.events.schedule(self.events.now, self._segment)
 
     def _segment(self) -> None:
         """Execute one bounded slice of the program."""
         if self.finished or self.stalled or self.at_barrier:
             return
         cfg = self.system.config
-        t = self.system.now
+        now = t = self.events.now
         deadline = t + cfg.segment_max_cycles
+        # The phase only changes at a barrier, which ends the segment.
+        phase = self.phase_idx
+        phase_budget = self.program.phases[phase].instructions
+        next_access = self.program.next_access
         for _ in range(cfg.segment_max_accesses):
-            phase_budget = self.program.phases[self.phase_idx].instructions
             if self.instr_done >= phase_budget:
                 self._reach_barrier(t)
                 return
-            gap, line, is_write = self.program.next_access(self.phase_idx)
+            gap, line, is_write = next_access(phase)
             remaining = phase_budget - self.instr_done
             if gap >= remaining:
                 # The phase ends inside the gap; retire the tail and loop
@@ -154,7 +158,7 @@ class Core:
                 return
             if t >= deadline:
                 break
-        self.system.events.schedule(max(t, self.system.now + 1), self._segment)
+        self.events.schedule(max(t, now + 1), self._segment)
 
     def _advance(self, t: int, instructions: int) -> int:
         """Advance local time by ``instructions`` non-memory instructions."""
@@ -195,7 +199,7 @@ class Core:
 
     def _reach_barrier(self, t: int) -> None:
         self.at_barrier = True
-        self.system.barrier_arrive(self.core_id, self.phase_idx, max(t, self.system.now))
+        self.system.barrier_arrive(self.core_id, self.phase_idx, max(t, self.events.now))
 
     def resume_from_barrier(self) -> None:
         """Called by the system when the phase barrier releases."""
@@ -204,11 +208,11 @@ class Core:
         self.instr_done = 0
         if self.phase_idx >= len(self.program.phases):
             self.finished = True
-            self.finish_cycle = self.system.now
+            self.finish_cycle = self.events.now
             self.system.core_finished(self.core_id)
             return
         if not self.stalled:
-            self.system.events.schedule(self.system.now, self._segment)
+            self.events.schedule(self.events.now, self._segment)
 
     # ------------------------------------------------------------------
     # Requester-side protocol
@@ -232,26 +236,19 @@ class Core:
         kind = MessageKind.GETX if mshr.requested_write else MessageKind.GETS
         self.system.send_protocol(
             kind,
-            src=self.core_id,
-            dst=self.system.address_map.home_tile(mshr.line),
-            line=mshr.line,
-            requester=self.core_id,
+            self.core_id,
+            self.system.address_map.home_tile(mshr.line),
+            mshr.line,
+            self.core_id,
             at=at,
         )
 
     def handle_message(self, msg: Message) -> None:
         """Dispatch an L1-bound protocol message."""
-        handler = {
-            MessageKind.DATA: self._on_data,
-            MessageKind.INV: self._on_inv,
-            MessageKind.INV_ACK: self._on_inv_ack,
-            MessageKind.RECALL_S: self._on_recall,
-            MessageKind.RECALL_X: self._on_recall,
-            MessageKind.PUT_ACK: self._on_put_ack,
-        }.get(msg.kind)
+        handler = self.HANDLERS.get(msg.kind)
         if handler is None:
             raise ProtocolError(f"core {self.core_id}: unexpected {msg!r}")
-        handler(msg)
+        handler(self, msg)
 
     def _on_data(self, msg: Message) -> None:
         mshr = self.mshrs.get(msg.line)
@@ -285,21 +282,21 @@ class Core:
             self._evict(*victim)
         self.system.send_protocol(
             MessageKind.UNBLOCK,
-            src=self.core_id,
-            dst=self.system.address_map.home_tile(line),
-            line=line,
-            requester=self.core_id,
+            self.core_id,
+            self.system.address_map.home_tile(line),
+            line,
+            self.core_id,
         )
         self.system.record_fill(self.core_id, mshr)
         if mshr.wants_write and not mshr.requested_write:
             # A store coalesced into this read miss: the Shared fill is not
             # enough, so upgrade through the directory.
             self.upgrades += 1
-            self._issue_miss(line, True, self.system.now)
+            self._issue_miss(line, True, self.events.now)
         if self.stalled and len(self.mshrs) < self.system.config.mlp:
             self.stalled = False
             if not self.at_barrier and not self.finished:
-                self.system.events.schedule(self.system.now, self._segment)
+                self.events.schedule(self.events.now, self._segment)
 
     def _evict(self, line: int, state: str) -> None:
         """Handle an L1 victim: Shared lines drop silently, Modified lines
@@ -316,10 +313,10 @@ class Core:
         self.evicting[line] = False
         self.system.send_protocol(
             MessageKind.PUTM,
-            src=self.core_id,
-            dst=self.system.address_map.home_tile(line),
-            line=line,
-            requester=self.core_id,
+            self.core_id,
+            self.system.address_map.home_tile(line),
+            line,
+            self.core_id,
         )
 
     def _on_inv(self, msg: Message) -> None:
@@ -328,11 +325,7 @@ class Core:
         # the directory's sharer list is allowed to be stale.
         self.l1.invalidate(msg.line)
         self.system.send_protocol(
-            MessageKind.INV_ACK,
-            src=self.core_id,
-            dst=msg.requester,
-            line=msg.line,
-            requester=msg.requester,
+            MessageKind.INV_ACK, self.core_id, msg.requester, msg.line, msg.requester
         )
 
     def _on_recall(self, msg: Message) -> None:
@@ -353,11 +346,7 @@ class Core:
                 f"core {self.core_id}: recall for line {line} we do not own"
             )
         self.system.send_protocol(
-            MessageKind.RECALL_DATA,
-            src=self.core_id,
-            dst=msg.src,
-            line=line,
-            requester=msg.requester,
+            MessageKind.RECALL_DATA, self.core_id, msg.src, line, msg.requester
         )
 
     def _on_put_ack(self, msg: Message) -> None:
@@ -370,6 +359,20 @@ class Core:
         if mshr is not None and mshr.deferred:
             mshr.deferred = False
             self._send_miss(mshr)
+
+    #: kind -> handler: the one dispatch table :meth:`handle_message` and
+    #: :meth:`CmpSystem.deliver` share, one row per L1-bound kind
+    HANDLERS = handler_table(
+        {
+            MessageKind.DATA: _on_data,
+            MessageKind.INV: _on_inv,
+            MessageKind.INV_ACK: _on_inv_ack,
+            MessageKind.RECALL_S: _on_recall,
+            MessageKind.RECALL_X: _on_recall,
+            MessageKind.PUT_ACK: _on_put_ack,
+        },
+        CACHE_TABLE,
+    )
 
     # ------------------------------------------------------------------
     @property

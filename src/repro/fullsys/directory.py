@@ -17,10 +17,12 @@ from .coherence import (
     BUSY_MEM,
     BUSY_RECALL,
     BUSY_UNBLOCK,
+    DIRECTORY_TABLE,
     IDLE,
     DirectoryEntry,
     Message,
     MessageKind,
+    handler_table,
 )
 
 __all__ = ["HomeController"]
@@ -59,17 +61,10 @@ class HomeController:
     # ------------------------------------------------------------------
     def handle_message(self, msg: Message) -> None:
         """Dispatch a home-bound protocol message."""
-        handler = {
-            MessageKind.GETS: self._on_request,
-            MessageKind.GETX: self._on_request,
-            MessageKind.PUTM: self._on_request,
-            MessageKind.RECALL_DATA: self._on_recall_data,
-            MessageKind.MEM_DATA: self._on_mem_data,
-            MessageKind.UNBLOCK: self._on_unblock,
-        }.get(msg.kind)
+        handler = self.HANDLERS.get(msg.kind)
         if handler is None:
             raise ProtocolError(f"home {self.tile}: unexpected {msg!r}")
-        handler(msg)
+        handler(self, msg)
 
     # ------------------------------------------------------------------
     # Request admission and serialization
@@ -195,6 +190,20 @@ class HomeController:
             raise ProtocolError(f"home {self.tile}: stray {msg!r}")
         self._next_transaction(msg.line)
 
+    #: kind -> handler: the one dispatch table :meth:`handle_message` and
+    #: :meth:`CmpSystem.deliver` share, one row per home-bound kind
+    HANDLERS = handler_table(
+        {
+            MessageKind.GETS: _on_request,
+            MessageKind.GETX: _on_request,
+            MessageKind.PUTM: _on_request,
+            MessageKind.RECALL_DATA: _on_recall_data,
+            MessageKind.MEM_DATA: _on_mem_data,
+            MessageKind.UNBLOCK: _on_unblock,
+        },
+        DIRECTORY_TABLE,
+    )
+
     # ------------------------------------------------------------------
     def _l2_fill(self, line: int, state: str) -> None:
         self.l2_fills += 1
@@ -202,10 +211,10 @@ class HomeController:
         if victim is not None and victim[1] == CacheLineState.DIRTY:
             self.system.send_protocol(
                 MessageKind.MEM_WB,
-                src=self.tile,
-                dst=self.system.memory_node(self.tile),
-                line=victim[0],
-                requester=self.tile,
+                self.tile,
+                self.system.memory_node(self.tile),
+                victim[0],
+                self.tile,
             )
 
     def _reply(
@@ -218,10 +227,10 @@ class HomeController:
     ) -> None:
         self.system.send_protocol(
             kind,
-            src=self.tile,
-            dst=dst,
-            line=msg.line,
-            requester=msg.requester,
+            self.tile,
+            dst,
+            msg.line,
+            msg.requester,
             delay=self.system.config.dir_latency + extra_latency,
             acks_expected=acks_expected,
         )

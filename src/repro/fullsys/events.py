@@ -1,8 +1,11 @@
 """Discrete-event kernel for the coarse-grain full-system simulator.
 
-A deliberately small engine: a binary heap of ``(time, sequence, callback)``
-entries.  The sequence number makes simultaneous events fire in scheduling
-order, which keeps whole-system runs deterministic.
+A deliberately small engine: a binary heap of ``(time, sequence, callback,
+args)`` entries.  The sequence number makes simultaneous events fire in
+scheduling order, which keeps whole-system runs deterministic.  Events carry
+their arguments, so callers schedule a bound method plus its operands —
+nothing is allocated per event beyond the heap entry, and the pending heap
+pickles for checkpoint/restore (never schedule a lambda or closure).
 
 The co-simulation layer drives the kernel in bounded slices
 (:meth:`run_until`) — one slice per synchronization quantum.
@@ -23,22 +26,22 @@ class EventQueue:
 
     def __init__(self) -> None:
         self.now = 0
-        self._heap: List[Tuple[int, int, Callable[[], None]]] = []
+        self._heap: List[Tuple[int, int, Callable[..., None], tuple]] = []
         self._seq = 0
         self.events_processed = 0
 
-    def schedule(self, time: int, callback: Callable[[], None]) -> None:
-        """Run ``callback`` at ``time`` (>= now)."""
+    def schedule(self, time: int, callback: Callable[..., None], *args) -> None:
+        """Run ``callback(*args)`` at ``time`` (>= now)."""
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule event at {time}; simulator is at {self.now}"
             )
-        heapq.heappush(self._heap, (time, self._seq, callback))
+        heapq.heappush(self._heap, (time, self._seq, callback, args))
         self._seq += 1
 
-    def schedule_in(self, delay: int, callback: Callable[[], None]) -> None:
-        """Run ``callback`` ``delay`` cycles from now."""
-        self.schedule(self.now + delay, callback)
+    def schedule_in(self, delay: int, callback: Callable[..., None], *args) -> None:
+        """Run ``callback(*args)`` ``delay`` cycles from now."""
+        self.schedule(self.now + delay, callback, *args)
 
     # ------------------------------------------------------------------
     def run_until(self, time: int) -> None:
@@ -49,21 +52,30 @@ class EventQueue:
         """
         if time < self.now:
             raise SimulationError(f"run_until({time}) but simulator is at {self.now}")
-        while self._heap and self._heap[0][0] <= time:
-            self.now, _, callback = heapq.heappop(self._heap)
-            callback()
-            self.events_processed += 1
+        self._run(time)
         self.now = time
 
     def run_all(self, max_time: Optional[int] = None) -> None:
         """Drain the queue completely (or up to ``max_time``)."""
-        while self._heap:
-            if max_time is not None and self._heap[0][0] > max_time:
+        if max_time is None:
+            self._run(float("inf"))
+        else:
+            self._run(max_time)
+            if self._heap:
                 self.now = max_time
-                return
-            self.now, _, callback = heapq.heappop(self._heap)
-            callback()
-            self.events_processed += 1
+
+    def _run(self, limit: float) -> None:
+        """Pop and fire events up to ``limit``; an event whose callback
+        raises is not counted and leaves ``now`` at its timestamp."""
+        heap, pop = self._heap, heapq.heappop
+        fired = 0
+        try:
+            while heap and heap[0][0] <= limit:
+                self.now, _, callback, args = pop(heap)
+                callback(*args)
+                fired += 1
+        finally:
+            self.events_processed += fired
 
     # ------------------------------------------------------------------
     @property

@@ -13,7 +13,8 @@ touching router or network code.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from array import array
+from typing import Iterator, List, Optional, Tuple
 
 import networkx as nx
 
@@ -86,6 +87,16 @@ class Topology:
         self.width = width
         self.height = height
         self.concentration = concentration
+        # Geometry tables: what the per-message lookups below index instead
+        # of re-deriving (and re-validating) it every time.  O(N) here; the
+        # router-pair hop rows are filled on first use, one byte per pair.
+        routers = range(width * height)
+        self._coords = tuple((r % width, r // width) for r in routers)
+        self._node_routers = tuple(
+            n // concentration for n in range(len(routers) * concentration)
+        )
+        self._hop_rows: List[Optional[array]] = [None] * len(routers)
+        self._hop_code = "B" if width + height <= 257 else "H"
 
     # ------------------------------------------------------------------
     # Router geometry
@@ -100,8 +111,9 @@ class Topology:
 
     def coords(self, router: int) -> Tuple[int, int]:
         """(x, y) coordinates of ``router``; x grows east, y grows north."""
-        self._check_router(router)
-        return router % self.width, router // self.width
+        if 0 <= router < len(self._coords):
+            return self._coords[router]
+        raise TopologyError(f"router {router} outside [0, {self.num_routers})")
 
     def router_at(self, x: int, y: int) -> int:
         if not (0 <= x < self.width and 0 <= y < self.height):
@@ -116,9 +128,9 @@ class Topology:
     # ------------------------------------------------------------------
     def node_router(self, node: int) -> int:
         """The router a terminal node attaches to."""
-        if not 0 <= node < self.num_nodes:
-            raise TopologyError(f"node {node} outside [0, {self.num_nodes})")
-        return node // self.concentration
+        if 0 <= node < len(self._node_routers):
+            return self._node_routers[node]
+        raise TopologyError(f"node {node} outside [0, {self.num_nodes})")
 
     def router_nodes(self, router: int) -> range:
         """All nodes attached to ``router``."""
@@ -162,7 +174,23 @@ class Topology:
 
     def node_distance(self, src_node: int, dst_node: int) -> int:
         """Minimal router-hop count between the routers of two nodes."""
-        return self.hop_distance(self.node_router(src_node), self.node_router(dst_node))
+        routers = self._node_routers
+        if 0 <= src_node < len(routers) and 0 <= dst_node < len(routers):
+            src = routers[src_node]
+            row = self._hop_rows[src]
+            if row is None:
+                row = self._fill_hop_row(src)
+            return row[routers[dst_node]]
+        raise TopologyError(
+            f"node pair ({src_node}, {dst_node}) outside [0, {self.num_nodes})"
+        )
+
+    def _fill_hop_row(self, router: int) -> array:
+        """Hop counts from ``router`` to every router, via :meth:`hop_distance`."""
+        row = self._hop_rows[router] = array(
+            self._hop_code, [self.hop_distance(router, dst) for dst in self.routers()]
+        )
+        return row
 
     def to_networkx(self) -> nx.DiGraph:
         """Directed router graph; edges carry the outgoing port index."""
@@ -191,7 +219,6 @@ class Mesh(Topology):
     """2-D mesh: no wrap-around channels; corner routers have degree 2."""
 
     def neighbor(self, router: int, port: int) -> Optional[int]:
-        self._check_router(router)
         x, y = self.coords(router)
         if port == LOCAL:
             return None
@@ -215,7 +242,6 @@ class Torus(Topology):
     """2-D torus: every dimension wraps, so all routers have full degree."""
 
     def neighbor(self, router: int, port: int) -> Optional[int]:
-        self._check_router(router)
         x, y = self.coords(router)
         if port == LOCAL:
             return None

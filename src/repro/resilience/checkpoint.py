@@ -10,9 +10,9 @@ digest of the body, so a restore refuses stale formats, checkpoints from a
 *different* configuration, and truncated/corrupted files instead of silently
 resuming the wrong simulation.
 
-Because every scheduled callback in the simulator is a ``functools.partial``
-of a bound method (never a lambda or closure) the whole graph pickles, and
-because restore reinstates the id counters, a restored run issues the same
+Because every scheduled event in the simulator is a bound method plus its
+arguments (never a lambda or closure) the whole graph pickles, and because
+restore reinstates the id counters, a restored run issues the same
 packet/message ids it would have — the continuation is bit-identical to the
 uninterrupted run.
 
@@ -47,8 +47,10 @@ __all__ = [
 
 #: v2 moved the envelope from a pickled dict to magic + JSON header + raw
 #: body, so the content hash is verified *before* any ``pickle.loads`` —
-#: a torn file can never reach the deserializer.
-CHECKPOINT_VERSION = 2
+#: a torn file can never reach the deserializer.  v3 keeps that envelope;
+#: the body changed shape (pending events carry their arguments, messages
+#: are slotted), so a v2 body is refused by version, never unpickled.
+CHECKPOINT_VERSION = 3
 
 #: file magic; also the format discriminator (v1 files started with the
 #: pickle opcode ``\x80`` and are refused with a version message)

@@ -24,7 +24,9 @@ private-to-shared behaviour, which is what the accuracy experiments need
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -98,16 +100,19 @@ class AppSpec:
         )
 
 
-class _ZipfSampler:
-    """Precomputed inverse-CDF Zipf sampler over ``[0, n)``."""
+@lru_cache(maxsize=256)
+def zipf_cdf(n: int, s: float) -> Tuple[float, ...]:
+    """Inverse-CDF table of the Zipf distribution over ``[0, n)``.
 
-    def __init__(self, n: int, s: float) -> None:
-        weights = np.arange(1, n + 1, dtype=float) ** -s
-        self._cdf = np.cumsum(weights)
-        self._cdf /= self._cdf[-1]
-
-    def sample(self, u: float) -> int:
-        return int(np.searchsorted(self._cdf, u))
+    ``bisect_left(zipf_cdf(n, s), u)`` is the index drawn by a uniform
+    ``u`` — the same index ``np.searchsorted`` finds, without NumPy's
+    per-call overhead on a scalar.  The table is immutable and shared by
+    every core (and phase) with the same ``(n, s)``: one copy per run
+    instead of one per core.
+    """
+    cdf = np.cumsum(np.arange(1, n + 1, dtype=float) ** -s)
+    cdf /= cdf[-1]
+    return tuple(cdf.tolist())
 
 
 class StatisticalProgram:
@@ -146,45 +151,50 @@ class StatisticalProgram:
         ]
         self.rng = Rng(seed, f"app/{spec.name}/core{core_id}")
         self._in_burst = False
-        self._private = [
-            _ZipfSampler(p.private_lines, p.zipf_s) for p in spec.phases
-        ]
-        self._shared = [_ZipfSampler(p.shared_lines, p.zipf_s) for p in spec.phases]
+        self._burst_p = 1.0 / (1.0 + self.BURST_GAP_MEAN)
+        # Per-phase constants of next_access, resolved (and range-checked by
+        # the address map) once: region bases, CDF tables, the gap law.
+        private_base = address_map.private_line(core_id, 0)
+        shared_base = address_map.shared_line(shared_offset)
+        self._phase_consts = []
+        for p in spec.phases:
+            address_map.private_line(core_id, p.private_lines - 1)
+            # Geometric gaps with the mean that preserves the overall
+            # mem_ratio in expectation (None: back-to-back accesses).
+            mean_gap = max(0.0, 1.0 / p.mem_ratio - 1.0)
+            self._phase_consts.append((
+                p.burstiness,
+                1.0 / (1.0 + mean_gap) if mean_gap > 0.0 else None,
+                p.shared_frac,
+                shared_base, zipf_cdf(p.shared_lines, p.zipf_s), p.shared_write_frac,
+                private_base, zipf_cdf(p.private_lines, p.zipf_s), p.write_frac,
+            ))
 
     # ------------------------------------------------------------------
     def next_access(self, phase: int) -> Tuple[int, int, bool]:
-        spec = self.spec.phases[phase]
-        gap = self._draw_gap(spec)
-        if self.rng.bernoulli(spec.shared_frac):
+        (burstiness, gap_p, shared_frac, shared_base, shared_cdf, shared_write,
+         private_base, private_cdf, private_write) = self._phase_consts[phase]
+        random = self.rng.random
+        # Burst modulation, a two-state Markov process: bursts keep gaps
+        # near zero; between bursts gaps are geometric.
+        in_burst = self._in_burst
+        if in_burst and random() < 0.5:  # burst continues
+            gap = self.rng.geometric(self._burst_p) - 1
+        elif not in_burst and random() < burstiness:  # burst starts
+            self._in_burst = True
+            gap = 0
+        else:
+            self._in_burst = False
+            gap = self.rng.geometric(gap_p) - 1 if gap_p is not None else 0
+        if random() < shared_frac:
             # All phases of an app revisit the same shared data structure
             # (window offset 0): phase transitions re-warm rather than
             # recold the shared footprint, as iterative SPLASH-class
             # kernels do.
-            idx = self._shared[phase].sample(self.rng.random())
-            line = self.address_map.shared_line(self.shared_offset + idx)
-            is_write = self.rng.bernoulli(spec.shared_write_frac)
-        else:
-            idx = self._private[phase].sample(self.rng.random())
-            line = self.address_map.private_line(self.core_id, idx)
-            is_write = self.rng.bernoulli(spec.write_frac)
-        return gap, line, is_write
-
-    def _draw_gap(self, spec: PhaseSpec) -> int:
-        """Instructions before the next access, with burst modulation."""
-        # Two-state Markov process: bursts keep gaps near zero; between
-        # bursts gaps are geometric with the mean that preserves the overall
-        # mem_ratio in expectation.
-        if self._in_burst:
-            if self.rng.bernoulli(0.5):  # burst continues
-                return self.rng.geometric(1.0 / (1.0 + self.BURST_GAP_MEAN)) - 1
-            self._in_burst = False
-        elif self.rng.bernoulli(spec.burstiness):
-            self._in_burst = True
-            return 0
-        mean_gap = max(0.0, 1.0 / spec.mem_ratio - 1.0)
-        if mean_gap <= 0.0:
-            return 0
-        return self.rng.geometric(1.0 / (1.0 + mean_gap)) - 1
+            line = shared_base + bisect_left(shared_cdf, random())
+            return gap, line, random() < shared_write
+        line = private_base + bisect_left(private_cdf, random())
+        return gap, line, random() < private_write
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"StatisticalProgram({self.spec.name}, core={self.core_id})"

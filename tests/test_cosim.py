@@ -9,7 +9,7 @@ from repro.core import (
     build_cosim,
     default_target_table,
 )
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 from repro.fullsys import CmpConfig
 from repro.noc import MessageClass
 
@@ -46,6 +46,65 @@ class TestCompletion:
         result = build_cosim(small()).run(max_cycles=50)
         assert not result.completed
         assert result.cycles <= 50
+
+
+class TestTailDrain:
+    """The tail guard is a *progress* guard: a long tail that keeps
+    delivering drains, a tail that stops moving messages still fails."""
+
+    def test_long_tail_of_hot_line_misses_drains(self):
+        # The ledger's known wrong answer: cores finish at 62 025 with
+        # misses still serialised at hot-line directories, and the tail
+        # needs 15 763 more cycles -- past the old fixed 10 000-cycle guard.
+        config = TargetConfig(width=16, height=16, app="fft", scale=0.05,
+                              network_model="table", quantum=4, seed=1)
+        result = build_cosim(config).run()
+        assert result.finish_cycle == 62_025
+        assert result.cycles == 77_788
+        assert result.messages_sent == result.deliveries == 189_592
+
+    @pytest.mark.parametrize("model", ["table", "simd"])
+    def test_shrunk_long_tail_drains(self, model):
+        # 36 cores behind a slow directory reproduce the same > 10 000-cycle
+        # tail in a couple of seconds on the detailed network too.
+        config = TargetConfig(width=6, height=6, app="barnes", scale=0.01,
+                              network_model=model, quantum=4, seed=1,
+                              cmp=CmpConfig(dir_latency=250))
+        result = build_cosim(config).run()
+        assert result.cycles - result.finish_cycle > 10_000
+        assert result.messages_sent == result.deliveries
+
+    @staticmethod
+    def _finished_with_a_busy_event():
+        cosim = build_cosim(small(model="fixed"))
+        done = cosim.run()
+        events = cosim.system.events
+
+        def tick():  # a self-rescheduling event: busy, but moving no message
+            events.schedule_in(1, tick)
+
+        tick()
+        return cosim, done
+
+    def test_stuck_tail_still_fails_within_the_guard(self):
+        cosim, done = self._finished_with_a_busy_event()
+        with pytest.raises(
+            SimulationError,
+            match=r"tail failed to drain \(1 events, 0 packets left\)",
+        ):
+            cosim._drain_tail()
+        assert cosim.system.now <= done.cycles + 10_000 + 8
+        assert cosim.deliveries == done.deliveries
+
+    def test_lockstep_lane_shares_the_guard(self):
+        # repro.engine.batch drains each lane window by window under the
+        # same check, naming the lane.
+        cosim, done = self._finished_with_a_busy_event()
+        with pytest.raises(SimulationError, match=r"packets left in lane 3\)"):
+            while not cosim._tail_stalled():
+                cosim.system.run_until(cosim.system.now + 4)
+            raise cosim._tail_error(" in lane 3")
+        assert cosim.system.now <= done.cycles + 10_000 + 8
 
 
 class TestQuantumSemantics:

@@ -25,7 +25,7 @@ from repro.resilience import (
     load_checkpoint,
     save_checkpoint,
 )
-from repro.resilience.checkpoint import Checkpointer
+from repro.resilience.checkpoint import CHECKPOINT_VERSION, Checkpointer
 
 SRC = str(Path(repro.__file__).resolve().parent.parent)
 
@@ -66,6 +66,22 @@ class TestRoundTrip:
             result.network_description["resilience"]
             == reference.network_description["resilience"]
         )
+
+    def test_inline_model_restore_is_bit_identical(self, tmp_path):
+        # The inline (table) model schedules its deliveries straight into
+        # the event heap, so a mid-run snapshot holds argument-carrying
+        # send, dispatch and delivery events for messages still in flight.
+        config = TargetConfig(**{**SMALL, "network_model": "table"})
+        reference = build_cosim(config).run()
+        partial = build_cosim(config)
+        partial.run(max_cycles=800)
+        assert partial.system.events.pending > 0
+        path = str(tmp_path / "inline.ckpt")
+        save_checkpoint(partial, path, config_token="t")
+        result = load_checkpoint(path, expect_config="t").run()
+        for name in ("wall_system", "wall_network", "wall_total"):
+            setattr(result, name, getattr(reference, name))
+        assert result == reference
 
     def test_checkpointer_saves_periodically(self, tmp_path):
         path = str(tmp_path / "auto.ckpt")
@@ -129,7 +145,7 @@ class TestEnvelopeV2:
         header = json.loads(
             blob[len(b"REPROCKPT2\n"):].split(b"\n", 1)[0]
         )
-        assert header["version"] == 2
+        assert header["version"] == CHECKPOINT_VERSION == 3
         assert len(header["sha256"]) == 64
         assert header["body_len"] > 0
 
@@ -172,6 +188,28 @@ class TestEnvelopeV2:
         )
         with pytest.raises(CheckpointError, match="format v1"):
             load_checkpoint(path)
+
+    def test_v2_body_refused_by_version_before_unpickling(self, tmp_path, monkeypatch):
+        # A snapshot written before events carried their arguments: same
+        # envelope, older body.  It must be refused with the structured
+        # version message, not unpickled into a crash later.
+        import hashlib
+        import pickle
+
+        body = b"a v2 pickle body"
+        header = json.dumps({
+            "version": 2, "config": "", "cycle": 0, "body_len": len(body),
+            "sha256": hashlib.sha256(body).hexdigest(),
+        }).encode("utf-8")
+        path = tmp_path / "v2.ckpt"
+        path.write_bytes(b"REPROCKPT2\n" + header + b"\n" + body)
+
+        def forbidden(*a, **k):  # pragma: no cover - the assertion
+            raise AssertionError("pickle.loads ran on a stale-format body")
+
+        monkeypatch.setattr(pickle, "loads", forbidden)
+        with pytest.raises(CheckpointError, match="format v2 != supported v3"):
+            load_checkpoint(str(path))
 
     def test_corrupt_error_is_a_checkpoint_error(self):
         # Callers catching the broad class keep working.
