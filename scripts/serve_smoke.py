@@ -116,10 +116,14 @@ def masked_rows(result, eid):
     return [tuple(row[i] for i in keep) for row in result.rows]
 
 
-def scrape(metrics_text: str, name: str) -> float:
+def scrape(metrics_text: str, name: str, default: float | None = None) -> float:
+    """The first sample of ``name``; ``default`` for a series not exported
+    yet (a counter appears with its first increment), else a failure."""
     for line in metrics_text.splitlines():
         if line.startswith(f"{name} ") or line.startswith(f"{name}{{"):
             return float(line.rsplit(" ", 1)[1])
+    if default is not None:
+        return default
     fail(f"metric {name} missing from /metrics")
     raise AssertionError  # unreachable
 
@@ -235,7 +239,7 @@ def phase_batched(db_dir: str) -> None:
             fail("client/server job-id mismatch for the pilot job")
         deadline = time.monotonic() + 60
         while scrape(client.metrics_text(),
-                     "repro_serve_jobs_dispatched_total") < 1:
+                     "repro_serve_jobs_dispatched_total", default=0) < 1:
             if time.monotonic() > deadline:
                 fail("pilot job never dispatched")
             time.sleep(0.02)

@@ -15,7 +15,9 @@ Subpackages:
 
 * :mod:`repro.core` — the reciprocal-abstraction co-simulation framework
 * :mod:`repro.noc` — cycle-level VC-wormhole NoC simulator
-* :mod:`repro.noc_gpu` — GPU-style data-parallel NoC simulator + cost model
+* :mod:`repro.engine` — GPU-style data-parallel NoC simulator (one
+  vectorised kernel stack; a single network is a batch of one lane)
+* :mod:`repro.noc_gpu` — the calibrated CPU+GPU host-cost model
 * :mod:`repro.abstractnet` — message-level latency models
 * :mod:`repro.fullsys` — full-system CMP simulator (cores, caches, MSI
   directory coherence, memory controllers)

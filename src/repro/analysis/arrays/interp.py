@@ -54,7 +54,7 @@ from .contracts import DTYPE_WIDTH, Contract, ContractRegistry
 __all__ = ["ARRAYS_FACTS_VERSION", "extract_kernel_module"]
 
 #: bump to invalidate cached per-module kernel facts
-ARRAYS_FACTS_VERSION = 2
+ARRAYS_FACTS_VERSION = 3
 
 _REDUCERS = ("sum", "min", "max", "mean", "prod", "any", "all")
 _ALLOCATORS = ("zeros", "ones", "empty", "full", "arange")
@@ -383,7 +383,7 @@ class _FuncInterp:
 
     # -- assignment -----------------------------------------------------
     def _exec_assign(self, targets: Sequence[ast.AST], value: ast.expr) -> None:
-        # tuple-unpack forms first: nonzero, tuple-of-exprs, generator
+        # tuple-unpack forms first: nonzero, tuple-of-exprs
         target = targets[0] if len(targets) == 1 else None
         if isinstance(target, (ast.Tuple, ast.List)):
             if self._assign_unpack(target, value):
@@ -413,24 +413,6 @@ class _FuncInterp:
             for name, av in zip(names, avs):
                 self.env[name] = av
             return True
-        # a, b = (x[m] for x in (a, b))  — the kernels' filter idiom
-        if isinstance(value, ast.GeneratorExp):
-            gen = value.generators[0] if value.generators else None
-            if (
-                gen is not None
-                and isinstance(gen.target, ast.Name)
-                and isinstance(gen.iter, (ast.Tuple, ast.List))
-                and len(gen.iter.elts) == len(names)
-                and isinstance(value.elt, ast.Subscript)
-                and isinstance(value.elt.value, ast.Name)
-                and value.elt.value.id == gen.target.id
-            ):
-                for name, src in zip(names, gen.iter.elts):
-                    base = self.eval(src)
-                    self.env[name] = self._subscript(
-                        base, value.elt.slice, value.elt
-                    )
-                return True
         self._bind_unknown(target)
         self.eval(value)
         return True
@@ -1077,11 +1059,6 @@ class _FuncInterp:
         if name == "nonzero" and node.args:
             self.eval(node.args[0])
             return _UNKNOWN
-        if name == "take_along_axis" and len(node.args) >= 2:
-            arr = self.eval(node.args[0])
-            self.eval(node.args[1])
-            self._check_axis(node, arr)
-            return arr.copy(winnow=False, nz=None)
         if name in ("argmax", "argmin") and node.args:
             arr = self.eval(node.args[0])
             axis = self._check_axis(node, arr)
@@ -1101,10 +1078,6 @@ class _FuncInterp:
             return self._reduce(node, arr, name)
         if name in _ALLOCATORS:
             return self._allocate(node, name)
-        if name == "broadcast_to" and len(node.args) == 2:
-            self.eval(node.args[0])
-            shape = self._shape_from_arg(node.args[1])
-            return AV(kind="array", shape=shape, known=shape is not None)
         if name in ("asarray", "ascontiguousarray", "copy"):
             if node.args:
                 return self.eval(node.args[0])

@@ -8,7 +8,7 @@ decides which become findings under an :class:`ArraysConfig`:
   invariants they check are meaningful anywhere contract-typed arrays
   are touched;
 * SIM304 is scoped to the vectorized kernel files themselves
-  (``engine/kernels.py``, ``noc_gpu/kernels.py``): the host-side driver
+  (``engine/kernels.py``): the host-side driver
   modules iterate lanes by design (per-lane ejection views, lockstep
   scheduling), so a lane loop is only a devectorization smell inside
   the kernels.
@@ -64,12 +64,9 @@ class ArraysConfig:
     #: rule name -> exempt path globs
     allow_paths: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
     #: which modules the kernel pass analyzes at all
-    kernel_paths: Tuple[str, ...] = ("engine/*", "noc_gpu/*")
+    kernel_paths: Tuple[str, ...] = ("engine/*",)
     #: where a python-level lane loop is a devectorization bug (SIM304)
-    lane_loop_paths: Tuple[str, ...] = (
-        "engine/kernels.py",
-        "noc_gpu/kernels.py",
-    )
+    lane_loop_paths: Tuple[str, ...] = ("engine/kernels.py",)
 
     def analyzes(self, relpath: str) -> bool:
         return _matches(relpath, self.kernel_paths)

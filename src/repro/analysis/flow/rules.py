@@ -69,6 +69,7 @@ class DeepConfig:
         "core/*",
         "noc/*",
         "noc_gpu/*",
+        "engine/*",
         "fullsys/*",
         "abstractnet/*",
         "dram/*",

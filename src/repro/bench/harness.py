@@ -3,10 +3,9 @@
 Two benchmark families, all under pinned seeds:
 
 * **cycle kernel** — the same deterministic traffic schedule driven
-  through three NoC implementations on the 16x16 (256-router) mesh: the
-  object-per-router reference loop (``oo_loop``), the single-simulation
-  vectorized network (``simd_single``), and one lane of the batched
-  engine (``batched``).  The headline derived metric,
+  through the two NoC implementations on the 16x16 (256-router) mesh:
+  the object-per-router reference loop (``oo_loop``) and the vectorised
+  kernels as a one-lane batch (``batched``).  The headline derived metric,
   ``cycle_kernel_speedup``, is ``oo_loop`` wall time over ``batched``
   wall time.
 * **end-to-end** — a full co-simulation through :func:`build_cosim`
@@ -110,11 +109,10 @@ def _drive(network, schedule, cycles: int) -> Tuple[float, int]:
 
 
 def _bench_cycle_kernels(quick: bool) -> Dict[str, Dict[str, Any]]:
-    from ..engine.network import SimdBatch
+    from ..engine.network import SimdNetwork
     from ..noc.config import NocConfig
     from ..noc.network import CycleNetwork
     from ..noc.topology import Mesh
-    from ..noc_gpu import SimdNetwork
 
     side, cycles, per_cycle = _KERNEL_QUICK if quick else _KERNEL_FULL
     topo = Mesh(side, side)
@@ -124,8 +122,7 @@ def _bench_cycle_kernels(quick: bool) -> Dict[str, Dict[str, Any]]:
     out: Dict[str, Dict[str, Any]] = {}
     variants = (
         ("oo_loop", lambda: CycleNetwork(topo, noc)),
-        ("simd_single", lambda: SimdNetwork(topo, noc)),
-        ("batched", lambda: SimdBatch(topo, noc, lanes=1).lane(0)),
+        ("batched", lambda: SimdNetwork(topo, noc)),
     )
     for name, make in variants:
         wall = None

@@ -84,8 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--engine", default="auto", choices=["auto", "oo", "batched"],
-        help="NoC execution engine for engine-aware experiments "
-        "(default: %(default)s; recorded in job provenance)",
+        help="engine request for engine-aware experiments (default: "
+        "%(default)s); changes no computation — provenance records what ran",
     )
     run.add_argument(
         "--resume", action="store_true",

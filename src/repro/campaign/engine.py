@@ -122,10 +122,11 @@ class CampaignEngine:
             resumes from its last quantum-boundary snapshot instead of
             restarting from cycle 0.
         checkpoint_every: snapshot period in synchronization windows.
-        engine: NoC execution engine for engine-aware experiments
-            (``"auto"``/``"oo"``/``"batched"``, see :mod:`repro.engine`).
-            The choice each job actually ran with lands in the store's
-            ``engine``/``kernel_version`` provenance columns.
+        engine: engine request for engine-aware experiments
+            (``"auto"``/``"oo"``/``"batched"``, see :mod:`repro.engine.api`);
+            it changes no computation.  What each job actually ran on
+            lands in the store's ``engine``/``kernel_version`` provenance
+            columns.
     """
 
     def __init__(

@@ -473,14 +473,15 @@ def execute_job(job: dict) -> dict:
       :func:`repro.resilience.checkpoint.job_checkpoint` scope: the run
       snapshots periodically and, if a previous attempt was killed mid-run,
       resumes from its last snapshot instead of restarting from cycle 0.
-    - ``_engine`` selects the NoC execution engine for engine-aware
-      experiments (``"auto"``/``"oo"``/``"batched"``); others ignore it.
+    - ``_engine`` is the engine request (``"auto"``/``"oo"``/``"batched"``)
+      handed to ``build_cosim`` for engine-aware experiments; it changes
+      no computation (see :mod:`repro.engine.api`) and others ignore it.
     - ``_batch_members`` (a list of job dicts) turns this into a synthetic
       batch job: every member runs as one lane of a shared kernel batch and
       the payload is ``{"_batch": [{"job_id", "payload"}, ...]}``.
     """
     if "_batch_members" in job:
-        return execute_job_batch(job["_batch_members"], engine=job.get("_engine", "auto"))
+        return execute_job_batch(job["_batch_members"])
     checkpoint = job.get("_checkpoint")
     engine = job.get("_engine", "auto")
     spec = JobSpec.from_dict({k: v for k, v in job.items() if not k.startswith("_")})
@@ -525,7 +526,7 @@ def jobs_batchable(jobs: Sequence[dict]) -> Tuple[bool, str]:
     return configs_batchable(configs)
 
 
-def execute_job_batch(jobs: Sequence[dict], engine: str = "auto") -> dict:
+def execute_job_batch(jobs: Sequence[dict]) -> dict:
     """Run several same-shape jobs as lanes of one batched kernel.
 
     Returns ``{"_batch": [{"job_id": ..., "payload": ...}, ...]}`` in job

@@ -2,8 +2,8 @@
 :class:`~repro.core.interfaces.NetworkModel`.
 
 * :class:`DetailedNetworkAdapter` — wraps a flit-level simulator (the OO
-  :class:`~repro.noc.network.CycleNetwork` or the GPU-style
-  :class:`~repro.noc_gpu.simd_network.SimdNetwork`; they share the same
+  :class:`~repro.noc.network.CycleNetwork` or a lane of the GPU-style
+  :class:`~repro.engine.network.SimdBatch`; they share the same
   inject/step/drain surface).
 * :class:`AbstractModelAdapter` — wraps any
   :class:`~repro.abstractnet.base.AbstractNetworkModel`; latency is computed

@@ -103,20 +103,22 @@ def build_cosim(
 ) -> CoSimulator:
     """Assemble system + network model + co-simulator from a config.
 
-    ``simd_network_factory`` injects the GPU-style network constructor
-    without making this module depend on :mod:`repro.noc_gpu` (which imports
-    the other way for its tests).  ``check_invariants`` installs a
+    ``simd_network_factory(topo, noc)`` supplies the ``simd`` model's
+    network in place of a fresh :func:`~repro.engine.network.SimdNetwork`
+    (the lockstep batch driver hands each co-simulator its lane this
+    way).  ``check_invariants`` installs a
     :class:`~repro.analysis.invariants.InvariantChecker` that validates
     message conservation, time monotonicity, and NoC credit/VC conservation
     at every quantum boundary.
 
-    ``engine`` selects the NoC execution engine (see :mod:`repro.engine`):
-    ``"auto"`` (default) runs engine-compatible configs on the batched
-    vectorized kernels and everything else on the reference loop;
-    ``"batched"`` does the same but logs the fallback louder; ``"oo"``
-    pins the reference loop.  Engines are bit-identical wherever both
-    apply, and the choice is recorded on the returned co-simulator's
-    ``engine_decision`` (and in every result's ``network_description``).
+    ``engine`` (``"auto"``, ``"batched"`` or ``"oo"``) changes no
+    computation: engine-compatible ``simd`` configs run on the vectorised
+    kernels of :mod:`repro.engine`, everything else on the OO router
+    loop, and ``"batched"`` only logs that fallback louder.  What ran is
+    recorded on the returned co-simulator's ``engine_decision`` (and in
+    every result's ``network_description``).  A ``simd`` config outside
+    the kernels' scope (torus, ``class_partition``) is a
+    :class:`ConfigError`.
 
     ``verify`` gates construction on :mod:`repro.verify`'s static checks
     (deadlock-freedom of the routing triple, protocol safety): ``"warn"``
@@ -165,16 +167,9 @@ def build_cosim(
 
     # Deferred so the core's module graph stays engine-free (the engine
     # package imports core back for the lockstep batch driver).
-    from ..engine.api import OO_KERNEL_VERSION, EngineDecision, resolve_engine
+    from ..engine.api import resolve_engine
 
-    if simd_network_factory is not None:
-        # The caller supplies the network; provenance says so (the
-        # lockstep batch driver overwrites this with its own decision).
-        engine_decision = EngineDecision(
-            "oo", "injected network factory", OO_KERNEL_VERSION
-        )
-    else:
-        engine_decision = resolve_engine(config, engine)
+    engine_decision = resolve_engine(config, engine)
 
     name = config.network_model
     shadow = None
@@ -202,20 +197,17 @@ def build_cosim(
             CycleNetwork(topo, config.noc, routing=routing)
         )
     elif name == "simd":
-        if simd_network_factory is not None:
-            # An injected factory (tests, the lockstep batch driver)
-            # overrides engine selection — it *is* the engine.
-            network = DetailedNetworkAdapter(simd_network_factory(topo, config.noc))
-        elif engine_decision.is_batched:
-            from ..engine.network import SimdBatch  # deferred heavy import
-
-            network = DetailedNetworkAdapter(
-                SimdBatch(topo, config.noc, lanes=1).lane(0)
+        if not engine_decision.is_batched:
+            # The kernels are the only 'simd' implementation; the
+            # reason reads "fallback: <what is out of their scope>".
+            raise ConfigError(
+                f"network_model='simd' has no {engine_decision.reason}"
             )
-        else:
-            from ..noc_gpu import SimdNetwork  # deferred heavy import
+        if simd_network_factory is None:
+            from ..engine.network import SimdNetwork  # deferred heavy import
 
-            network = DetailedNetworkAdapter(SimdNetwork(topo, config.noc))
+            simd_network_factory = SimdNetwork
+        network = DetailedNetworkAdapter(simd_network_factory(topo, config.noc))
     elif name == "fixed":
         network = AbstractModelAdapter(FixedLatencyModel(topo, config.noc))
     elif name == "queueing":

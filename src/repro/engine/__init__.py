@@ -1,48 +1,36 @@
-"""repro.engine: batched vectorized NoC execution engines.
+"""repro.engine: the vectorised (GPU-style) cycle-level NoC.
 
-The engine layer separates *what* a co-simulation computes (the target
-config) from *how* its NoC cycles are executed.  Two engines implement
-the :class:`NocEngine` protocol:
+One structure-of-arrays state (:mod:`repro.engine.layout`), one set of
+NumPy kernels (:mod:`repro.engine.kernels`) where one vectorised step
+advances *all* routers of *N same-shape simulations* as array ops over
+flat ``(lane, router, port, VC)`` cells.  Each simulation is a lane of
+:class:`~repro.engine.network.SimdBatch`, and a single network is a
+batch of one: :func:`SimdNetwork` is that constructor.  Per-lane results
+do not depend on the lane count.
 
-* :class:`OoEngine` — the existing object-oriented router loop (and the
-  single-simulation SIMD model), exactly as ``build_cosim`` has always
-  constructed it.  Always available; the semantic reference.
-* :class:`BatchedSimdEngine` — a rewritten NumPy kernel where one
-  vectorized step advances *all* routers of *N same-shape simulations*
-  as batched array ops over ``(job, router, port, VC)`` tensors.  Each
-  job is a lane of :class:`~repro.engine.network.SimdBatch`; per-lane
-  results are bit-identical to the single-simulation SIMD network.
-
-``build_cosim(..., engine="auto")`` picks the fast path automatically
-when the target config is engine-compatible and falls back to the OO
-loop with a logged reason otherwise (see :mod:`repro.engine.api`).
-Lockstep multi-job execution lives in :mod:`repro.engine.batch`.
+``build_cosim`` runs every engine-compatible ``simd`` config on these
+kernels and everything else on the OO router loop of :mod:`repro.noc`,
+with the reason logged (see :mod:`repro.engine.api`).  Lockstep
+multi-job execution lives in :mod:`repro.engine.batch`.
 """
 
 from .api import (
-    BatchedSimdEngine,
     EngineDecision,
     KERNEL_VERSION,
-    NocEngine,
-    OoEngine,
     batch_supported,
-    get_engine,
     resolve_engine,
 )
 from .batch import BatchCosimResult, run_cosim_batch
-from .network import BatchedSimdNetwork, SimdBatch
+from .network import BatchedSimdNetwork, SimdBatch, SimdNetwork
 
 __all__ = [
     "BatchCosimResult",
-    "BatchedSimdEngine",
     "BatchedSimdNetwork",
     "EngineDecision",
     "KERNEL_VERSION",
-    "NocEngine",
-    "OoEngine",
     "SimdBatch",
+    "SimdNetwork",
     "batch_supported",
-    "get_engine",
     "resolve_engine",
     "run_cosim_batch",
 ]

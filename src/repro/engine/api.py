@@ -1,36 +1,35 @@
-"""Engine selection: which kernel executes a co-simulation's NoC.
+"""Engine selection: what executes a co-simulation's NoC.
 
-An *engine* decides how the cycle-level network of a
-:class:`~repro.core.config.TargetConfig` is executed; it never changes
-what is computed.  :func:`resolve_engine` is the single policy point:
-``build_cosim`` consults it for every construction, campaign records its
-verdict in result provenance, and serve's scheduler asks it whether a
-shape-batch may take the fast path.
+There is one vectorised implementation (:mod:`repro.engine.kernels`) and
+one reference (the OO router loop of :mod:`repro.noc`), and a config's
+``network_model`` already says which it wants — so :func:`resolve_engine`
+has nothing to select, only to *say what will run*: the kernels iff
+:func:`batch_supported`, else the OO loop with the reason logged on the
+``repro.engine`` logger.  ``build_cosim`` consults it for every
+construction, campaign records its verdict in result provenance, and
+serve's scheduler asks :func:`batch_supported` whether a shape-batch may
+share lanes.
 
-Fallback is never an error: requesting ``engine="batched"`` for an
-incompatible config logs the reason on the ``repro.engine`` logger and
-runs the reference engine, because both engines are bit-identical on
-any config they share (``tests/test_engine_cosim.py``).
+The caller's ``engine`` request changes no computation.  ``"batched"``
+raises the log level of a fallback to WARNING (the caller asked for
+speed it is not getting); ``"oo"`` is accepted (the perf ledger's
+reference cut passes it) and only tells ``serve`` not to coalesce lanes.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import List, Protocol, Tuple
+from typing import Tuple
 
 from ..errors import ConfigError
 from ..noc.topology import Mesh
 
 __all__ = [
-    "BatchedSimdEngine",
     "ENGINE_NAMES",
     "EngineDecision",
     "KERNEL_VERSION",
-    "NocEngine",
-    "OoEngine",
     "batch_supported",
-    "get_engine",
     "resolve_engine",
 ]
 
@@ -40,7 +39,7 @@ log = logging.getLogger("repro.engine")
 #: provenance so a cached row can be traced to the kernels that made it.
 KERNEL_VERSION = "batched-simd-2"
 
-#: version tag recorded for runs executed by the reference engine.
+#: version tag recorded for runs executed by the OO router loop.
 OO_KERNEL_VERSION = "oo-loop-1"
 
 ENGINE_NAMES = ("auto", "oo", "batched")
@@ -48,10 +47,10 @@ ENGINE_NAMES = ("auto", "oo", "batched")
 
 @dataclass(frozen=True)
 class EngineDecision:
-    """The outcome of engine selection for one config."""
+    """What executes one config's NoC, and why."""
 
     name: str  #: "oo" or "batched"
-    reason: str  #: why this engine was chosen (or why batched was refused)
+    reason: str  #: why the kernels run it (or why they cannot)
     kernel_version: str  #: version tag for provenance
 
     @property
@@ -59,77 +58,11 @@ class EngineDecision:
         return self.name == "batched"
 
 
-class NocEngine(Protocol):
-    """What an execution engine must provide."""
-
-    name: str
-    kernel_version: str
-
-    def supports(self, config) -> Tuple[bool, str]:
-        """Whether this engine can execute ``config`` (and why not)."""
-
-    def make_networks(self, config, lanes: int) -> List[object]:
-        """``lanes`` driveable network objects for same-shape simulations."""
-
-
-class OoEngine:
-    """The reference engine: the existing per-object simulator loop.
-
-    Executes any config — it builds exactly the network ``build_cosim``
-    has always built (the OO router loop, or the single-simulation SIMD
-    model for ``network_model="simd"``).
-    """
-
-    name = "oo"
-    kernel_version = OO_KERNEL_VERSION
-
-    def supports(self, config) -> Tuple[bool, str]:
-        return True, "reference engine"
-
-    def make_networks(self, config, lanes: int) -> List[object]:
-        from ..noc.network import CycleNetwork
-        from ..noc.routing import make_routing
-        from ..noc_gpu import SimdNetwork
-
-        out = []
-        for _ in range(lanes):
-            topo = config.make_topology()
-            if config.network_model == "simd":
-                out.append(SimdNetwork(topo, config.noc))
-            else:
-                out.append(
-                    CycleNetwork(
-                        topo, config.noc, routing=make_routing(config.routing)
-                    )
-                )
-        return out
-
-
-class BatchedSimdEngine:
-    """The fast path: lane-batched NumPy kernels (:mod:`repro.engine`)."""
-
-    name = "batched"
-    kernel_version = KERNEL_VERSION
-
-    def supports(self, config) -> Tuple[bool, str]:
-        return batch_supported(config)
-
-    def make_networks(self, config, lanes: int) -> List[object]:
-        from .network import SimdBatch
-
-        ok, reason = self.supports(config)
-        if not ok:
-            raise ConfigError(f"config not batchable: {reason}")
-        batch = SimdBatch(config.make_topology(), config.noc, lanes=lanes)
-        return [batch.lane(i) for i in range(lanes)]
-
-
 def batch_supported(config) -> Tuple[bool, str]:
-    """Whether ``config`` can run on :class:`BatchedSimdEngine`.
+    """Whether the vectorised kernels can execute ``config`` (and why not).
 
-    The batched kernels implement exactly the functional scope of the
-    single-simulation SIMD network: the ``simd`` network model on a mesh
-    with ``any_free`` VC selection and no fault injection.
+    Their functional scope: the ``simd`` network model on a mesh with
+    ``any_free`` VC selection and no fault injection.
     """
     if config.network_model != "simd":
         return False, (
@@ -145,27 +78,10 @@ def batch_supported(config) -> Tuple[bool, str]:
     return True, "engine-compatible"
 
 
-def get_engine(name: str):
-    """The engine instance for ``name`` ("oo" or "batched")."""
-    if name == "oo":
-        return OoEngine()
-    if name == "batched":
-        return BatchedSimdEngine()
-    raise ConfigError(f"unknown engine {name!r}; known: ('oo', 'batched')")
-
-
 def resolve_engine(config, engine: str = "auto") -> EngineDecision:
-    """Pick the engine that will execute ``config``.
-
-    ``engine`` is the caller's request: ``"auto"`` takes the batched
-    fast path whenever the config is compatible, ``"batched"`` does the
-    same but logs the fallback at WARNING (the caller asked for speed it
-    is not getting), and ``"oo"`` pins the reference engine.
-    """
+    """What will execute ``config``'s NoC: the kernels iff they support it."""
     if engine not in ENGINE_NAMES:
         raise ConfigError(f"unknown engine {engine!r}; known: {ENGINE_NAMES}")
-    if engine == "oo":
-        return EngineDecision("oo", "explicitly requested", OO_KERNEL_VERSION)
     ok, reason = batch_supported(config)
     if ok:
         return EngineDecision("batched", reason, KERNEL_VERSION)

@@ -1,8 +1,14 @@
-"""Lane-batched per-cycle kernels for the batched SIMD network.
+"""Per-cycle, whole-array update kernels for the SIMD network.
 
-These are the :mod:`repro.noc_gpu.kernels` stages over ``L`` lanes at
-once: one kernel invocation advances every router of every lane.  They
-address the state through the flat cell index of
+Each function is the direct analogue of one GPU kernel launch in the
+paper's CPU+GPU co-simulation: one invocation reads and writes the
+structure-of-arrays state for *all* routers of *all* ``L`` lanes at
+once, with no per-router Python control flow.  Conflict resolution (VC
+and switch allocation) uses scatter-min reductions (``np.minimum.at``)
+— the standard way a data-parallel simulator replaces a sequential
+arbiter loop.
+
+The kernels address the state through the flat cell index of
 :mod:`repro.engine.layout` — ``np.flatnonzero`` over a 1-d mask view,
 then single-array gathers and scatters — because at a few hundred
 active cells per cycle the cost of a stage is NumPy's per-call indexing
@@ -12,17 +18,22 @@ times over.  For the same reason a selection is applied as
 mask instead of one per filtered array.
 
 All scatter-reduction bucket keys are flat indices that carry the lane,
-so arbitration in one lane can never observe another — per-lane results
-are bit-identical to running :mod:`repro.noc_gpu` on each lane alone
-(``tests/test_engine_differential.py`` checks every array after every
+so arbitration in one lane can never observe another — lane *k* of a
+K-lane batch is bit-identical to its own one-lane batch
+(``tests/test_engine_batched.py`` compares every array after every
 cycle).  ``np.flatnonzero`` enumerates the flat views in C order, which
-is lane-major ``(lane, r, p, v)`` order: the per-lane sub-order of every
-gather, scatter and tie-break matches the single-lane kernels exactly.
+is lane-major ``(lane, r, p, v)`` order, so the per-lane sub-order of
+every gather, scatter and tie-break does not depend on the lane count.
 
 Round-robin priority is the distance from the bucket's pointer, which
 is already unique within a bucket (its candidates differ in the very
 coordinate the distance is taken over), so it is the scatter-min score
-as is; the single-lane kernels' ``rank * n + code`` orders identically.
+as is.
+
+Arbitration fidelity note: round-robin pointers are honoured exactly, but
+grant *timing* can differ from the OO router by a cycle in rare interleavings
+because all routers update in lock-step from the same snapshot.  Tests bound
+the resulting statistical deviation (see ``tests/test_simd_vs_oo.py``).
 """
 
 from __future__ import annotations
@@ -33,7 +44,6 @@ from typing import Callable, Tuple
 import numpy as np
 
 from ..noc.topology import EAST, LOCAL, NORTH, SOUTH, WEST
-from ..noc_gpu.kernels import FLAG_HEAD, FLAG_TAIL
 from .layout import BIG, OWNER_DTYPE, PORT_DTYPE, PTR_DTYPE, VC_DTYPE, BatchState
 
 __all__ = [
@@ -43,6 +53,9 @@ __all__ = [
     "vc_allocate",
     "switch_traverse",
 ]
+
+FLAG_HEAD = 1
+FLAG_TAIL = 2
 
 
 @lru_cache(maxsize=None)
@@ -76,9 +89,10 @@ def route_compute(st: BatchState) -> None:
 def vc_allocate(st: BatchState) -> np.ndarray:
     """Kernel 2: separable VC allocation across all lanes.
 
-    Same two stages as the single-lane kernel — selection of the first
-    free output VC, then scatter-min round-robin arbitration — keyed by
-    the flat output cell ``(lane, r, out_port, out_vc)``, so conflicts
+    Stage 1 (selection): each routed-but-inactive input VC picks the first
+    free output VC on its route port.  Stage 2 (arbitration): conflicting
+    selections are resolved per output VC by round-robin priority via a
+    scatter-min, keyed by the flat output cell ``(lane, r, out_port, out_vc)``, so conflicts
     never cross lanes.  Returns the flat cells of the input VCs granted.
     """
     cell = np.flatnonzero((st.route_port_f >= 0) & ~st.active_f & (st.count_f > 0))
@@ -124,7 +138,7 @@ def switch_traverse(
 
     ``eject`` receives ``(cells, pkt_idx)`` of the tail flits leaving at
     a local port, lane-major in C order (so per-lane ejection order
-    matches the single-lane kernel).  ``hop_counter`` is the global
+    does not depend on the lane count).  ``hop_counter`` is the global
     per-packet hop array.
 
     Returns flat cells ``(granted, moved, credit_cells)``: the input VCs

@@ -1,11 +1,18 @@
-"""Structure-of-arrays state for the *batched* SIMD network.
+"""Structure-of-arrays state for the SIMD network.
 
-This is :mod:`repro.noc_gpu.layout` with one extra leading axis: ``L``
-lanes, each an independent same-shape simulation.  Array shapes are
-``L`` lanes × ``R`` routers × ``P`` ports × ``V`` virtual channels × ``B``
-buffer slots.  Geometry tables are shared across lanes (one copy,
-indexed by every lane), because a batch only ever groups simulations of
-identical topology and NoC config.
+A GPU NoC simulator stores router state as flat arrays and updates all
+routers in lock-step, one kernel per pipeline stage per cycle.  This
+module defines exactly that layout using NumPy arrays (our stand-in for
+device memory — see the substitution table in DESIGN.md) plus the
+precomputed neighbour/geometry tables kernels index with.
+
+Array shapes are ``L`` lanes × ``R`` routers × ``P`` ports × ``V``
+virtual channels × ``B`` buffer slots: each lane is an independent
+same-shape simulation, and a single network is a batch of one lane.
+Port 0 is the local port, as in :mod:`repro.noc.topology`.  Geometry
+tables are shared across lanes (one copy, indexed by every lane),
+because a batch only ever groups simulations of identical topology and
+NoC config.
 
 The packet table is global across lanes: ``buf_pkt`` stores indices into
 one shared table, and lane ownership is implicit — a packet index only
@@ -43,20 +50,13 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..noc.config import NocConfig
-from ..noc.topology import EAST, LOCAL, NORTH, SOUTH, WEST, Topology
-from ..noc_gpu.layout import (
-    BIG,
-    LOCAL_CREDITS,
-    OWNER_DTYPE,
-    PORT_DTYPE,
-    PTR_DTYPE,
-    VC_DTYPE,
-    mesh_geometry,
-)
+from ..noc.topology import EAST, LOCAL, NORTH, SOUTH, WEST, Mesh, Topology
 
 __all__ = [
     "BatchState",
     "build_batch_state",
+    "mesh_geometry",
+    "LOCAL_CREDITS",
     "BIG",
     "PORT_DTYPE",
     "VC_DTYPE",
@@ -65,12 +65,32 @@ __all__ = [
     "SHAPE_CONTRACT",
 ]
 
-# Machine-readable layout contract for the batched state; same syntax as
-# :data:`repro.noc_gpu.layout.SHAPE_CONTRACT` with the leading lane axis.
-# The ``pkt`` domain is declared lane-partitioned: a packet index only
-# ever appears in the lane that injected it (see the module docstring),
-# which is what makes per-packet scatters keyed by gathered ``buf_pkt``
-# values lane-safe without an explicit lane term.
+#: effectively-infinite credits for the local (ejection) port
+LOCAL_CREDITS = 1 << 20
+
+#: int64 ordering sentinel for scatter-min arbitration; never stored in state
+BIG = np.iinfo(np.int64).max
+
+# Narrow storage dtypes for the structure-of-arrays state.  Each carries a
+# ``# bound:`` annotation stating why the downcast can never overflow; the
+# SIM302 kernel lint treats these names as the sanctioned way to narrow
+# (see docs/static-analysis.md).
+PORT_DTYPE = np.int8  # bound: port ids < radix <= 127 (and the -1 sentinel)
+VC_DTYPE = np.int8  # bound: VC ids < num_vcs <= 127 (and the -1 sentinel)
+OWNER_DTYPE = np.int16  # bound: flat in_port*V+in_vc codes < radix*num_vcs <= 32767
+PTR_DTYPE = np.int32  # bound: round-robin pointers, always reduced mod V, P, or P*V
+
+# Machine-readable layout contract, parsed (not imported) by the SIM3xx
+# kernel analyzer in :mod:`repro.analysis.arrays`.  One entry per state
+# class: ``dims`` names the scalar dimension attributes in axis order,
+# ``lane_axis`` marks the batching axis, each field declares its axes and
+# dtype, and ``values`` names the value domain a field's elements index
+# into.  Domains with ``lane_partitioned: True`` promise that a value only
+# ever appears in the lane that produced it, so gathers from such fields
+# are lane-safe keys: the ``pkt`` domain is declared so because a packet
+# index only ever appears in the lane that injected it (see the module
+# docstring), which is what makes per-packet scatters keyed by gathered
+# ``buf_pkt`` values lane-safe without an explicit lane term.
 SHAPE_CONTRACT = {
     "BatchState": {
         "dims": ["L", "R", "P", "V", "B"],
@@ -128,6 +148,34 @@ SHAPE_CONTRACT = {
         },
     },
 }
+
+
+def mesh_geometry(topo: Topology):
+    """Precomputed geometry tables for a mesh: ``(x, y, nbr_router, nbr_port)``.
+
+    The geometry is a property of the topology alone, so a batch of
+    same-shape simulations indexes one copy of these tables.
+    """
+    if not isinstance(topo, Mesh):
+        raise ConfigError(
+            "the SIMD network supports mesh topologies (incl. concentrated); "
+            f"got {type(topo).__name__}"
+        )
+    R, P = topo.num_routers, topo.radix
+    rid = np.arange(R, dtype=np.int32)
+    x = (rid % topo.width).astype(np.int32)
+    y = (rid // topo.width).astype(np.int32)
+    nbr_router = np.full((R, P), -1, dtype=np.int32)
+    nbr_port = np.full((R, P), -1, dtype=np.int32)
+    opposite = {EAST: WEST, WEST: EAST, NORTH: SOUTH, SOUTH: NORTH}
+    for r in range(R):
+        for port in (EAST, WEST, NORTH, SOUTH):
+            nbr = topo.neighbor(r, port)
+            if nbr is not None:
+                nbr_router[r, port] = nbr
+                nbr_port[r, port] = opposite[port]
+    return x, y, nbr_router, nbr_port
+
 
 @dataclass
 class BatchState:

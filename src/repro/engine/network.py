@@ -1,21 +1,32 @@
-"""The batched SIMD network: N same-shape simulations, one kernel stream.
+"""The SIMD network: N same-shape simulations, one kernel stream.
 
 :class:`SimdBatch` owns the lane-extended structure-of-arrays state and
 steps every lane with one invocation of the :mod:`repro.engine.kernels`
 pipeline per cycle.  Each lane is driven through a
-:class:`BatchedSimdNetwork` view, which exposes exactly the
-``inject`` / ``step`` / ``run`` / ``drain`` / ``pop_delivered`` /
-``stats`` surface of :class:`~repro.noc_gpu.simd_network.SimdNetwork` —
-so existing adapters and the co-simulator drive a lane without knowing
-it shares kernels with its batch-mates.
+:class:`BatchedSimdNetwork` view, which exposes exactly the driving
+surface of the object-oriented :class:`~repro.noc.network.CycleNetwork`
+— ``inject`` / ``step`` / ``run`` / ``drain`` / ``pop_delivered`` /
+``stats`` — so adapters and the co-simulator drive a lane without
+knowing it shares kernels with its batch-mates.  A single network is a
+batch of one lane: :func:`SimdNetwork` builds exactly that.
+
+The per-cycle cost is a near-constant number of array operations, so
+host time per simulated cycle barely grows with router count (or lane
+count): the cost profile of the paper's GPU coprocessor, and the source
+of the CPU+GPU speedups experiment E6 reproduces.
+
+Functional scope (documented simplifications vs. the OO simulator):
+mesh topologies, deterministic XY routing, ``any_free`` VC selection, and
+round-robin arbiters.  Timing parameters (router/link/credit/ejection
+delays, VC count, buffer depth) are honoured exactly; aggregate behaviour is
+validated against the OO simulator in ``tests/test_simd_vs_oo.py``.
 
 Lockstep contract: ``lane.step()`` advances the *whole batch* one cycle.
 Drivers that interleave lanes (see :mod:`repro.engine.batch`) exploit
 that an adapter's ``advance(to_cycle)`` loop no-ops once the shared
-clock has already reached the target.  Per-lane behaviour is
-bit-identical to a single-lane run: host-side injection and ejection
-are per-lane state machines identical to ``SimdNetwork``'s, and the
-kernels keep lanes independent by construction.
+clock has already reached the target.  Per-lane behaviour does not
+depend on the lane count: host-side injection and ejection are per-lane
+state machines, and the kernels keep lanes independent by construction.
 """
 
 from __future__ import annotations
@@ -34,7 +45,7 @@ from ..noc.topology import LOCAL, Topology
 from .kernels import FLAG_HEAD, FLAG_TAIL, route_compute, switch_traverse, vc_allocate
 from .layout import build_batch_state
 
-__all__ = ["BatchedSimdNetwork", "SimdBatch"]
+__all__ = ["BatchedSimdNetwork", "SimdBatch", "SimdNetwork"]
 
 
 class _Source:
@@ -160,7 +171,7 @@ class SimdBatch:
 
 
 class BatchedSimdNetwork:
-    """One lane of a :class:`SimdBatch`, driven like a ``SimdNetwork``.
+    """One lane of a :class:`SimdBatch`, driven like a ``CycleNetwork``.
 
     The view owns all host-side per-lane state (injection queues, the
     future heap, delivered packets, stats, energy counters, watchdog)
@@ -177,8 +188,7 @@ class BatchedSimdNetwork:
         self.stats = NetworkStats()
         self._sources = [_Source() for _ in range(batch.topo.num_routers)]
         # Insertion-ordered (dict-as-set) so injection order never
-        # depends on hash order — keeps lanes bit-identical to the
-        # single-simulation SIMD network.
+        # depends on hash order.
         self._active_sources: Dict[int, None] = {}
         self._future: List[Tuple[int, int, Packet]] = []
         self._future_seq = 0
@@ -191,7 +201,7 @@ class BatchedSimdNetwork:
         self.va_grants = 0
 
     # ------------------------------------------------------------------
-    # Driving (same surface as SimdNetwork / CycleNetwork)
+    # Driving (same surface as CycleNetwork)
     # ------------------------------------------------------------------
     @property
     def cycle(self) -> int:
@@ -355,3 +365,14 @@ class BatchedSimdNetwork:
             f"BatchedSimdNetwork(lane={self.lane_index}/{self.batch.lanes}, "
             f"cycle={self.cycle}, in_flight={self.in_flight})"
         )
+
+
+def SimdNetwork(
+    topo: Topology,
+    config: Optional[NocConfig] = None,
+    on_eject: Optional[Callable[[Packet, int], None]] = None,
+) -> BatchedSimdNetwork:
+    """A single data-parallel network: the one lane of a batch of one."""
+    network = SimdBatch(topo, config, lanes=1).lane(0)
+    network.on_eject = on_eject
+    return network

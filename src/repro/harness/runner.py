@@ -19,12 +19,12 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.config import TargetConfig, build_cosim
 from ..core.cosim import CoSimResult
+from ..engine.network import SimdNetwork
 from ..errors import ConfigError
 from ..noc.config import NocConfig
 from ..noc.network import CycleNetwork
 from ..noc.stats import NetworkStats
 from ..noc.topology import Topology
-from ..noc_gpu.simd_network import SimdNetwork
 from ..workloads.traces import TraceRecorder
 
 __all__ = [

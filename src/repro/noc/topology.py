@@ -14,11 +14,12 @@ touching router or network code.
 from __future__ import annotations
 
 from array import array
-from typing import Iterator, List, Optional, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
 
 from ..errors import ConfigError, TopologyError
+
+if TYPE_CHECKING:
+    import networkx
 
 __all__ = [
     "LOCAL",
@@ -192,9 +193,16 @@ class Topology:
         )
         return row
 
-    def to_networkx(self) -> nx.DiGraph:
-        """Directed router graph; edges carry the outgoing port index."""
-        graph = nx.DiGraph()
+    def to_networkx(self) -> "networkx.DiGraph":
+        """Directed router graph; edges carry the outgoing port index.
+
+        :mod:`networkx` is imported here, not at module level: it is a
+        third of the simulation stack's import time and only analysis
+        and tests want the graph (it ships in the ``test`` extra).
+        """
+        import networkx
+
+        graph = networkx.DiGraph()
         graph.add_nodes_from(self.routers())
         for router in self.routers():
             for port in range(1, self.radix):

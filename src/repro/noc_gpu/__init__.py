@@ -1,20 +1,19 @@
 """GPU-style data-parallel NoC simulation (the paper's coprocessor path).
 
-:class:`SimdNetwork` is a structure-of-arrays, lock-step, whole-array-kernel
-reimplementation of the cycle-level network — the SIMT decomposition a GPU
-NoC simulator uses, realized with NumPy (the environment has no CUDA
-device).  :class:`GpuExecutionModel` is the calibrated host-cost model that
-reproduces the paper's 16%/65% CPU+GPU co-simulation speedups.
+:class:`GpuExecutionModel` is the calibrated host-cost model that
+reproduces the paper's 16%/65% CPU+GPU co-simulation speedups.  The
+data-parallel simulator itself — structure-of-arrays state, lock-step
+whole-array kernels, the SIMT decomposition a GPU NoC simulator uses,
+realized with NumPy (the environment has no CUDA device) — lives in
+:mod:`repro.engine`; :func:`SimdNetwork` is re-exported here under its
+historical name.
 """
 
+from ..engine.network import SimdNetwork
 from .gpu_model import GpuCostParams, GpuExecutionModel
-from .layout import SimdState, build_state
-from .simd_network import SimdNetwork
 
 __all__ = [
     "SimdNetwork",
-    "SimdState",
-    "build_state",
     "GpuCostParams",
     "GpuExecutionModel",
 ]

@@ -3,8 +3,8 @@
 There is no CUDA device in this environment (see DESIGN.md's substitution
 table), so the paper's *measured* host times are reproduced two ways:
 
-1. **Measured shape** — the NumPy :class:`~repro.noc_gpu.simd_network.
-   SimdNetwork` genuinely has the GPU cost profile (fixed per-cycle kernel
+1. **Measured shape** — the NumPy :func:`~repro.engine.network.SimdNetwork`
+   genuinely has the GPU cost profile (fixed per-cycle kernel
    overhead, near-flat per-router cost), so benchmark E6 also reports real
    wall-clock times of the two Python simulators.
 2. **Calibrated model** — this module: closed-form host-time expressions

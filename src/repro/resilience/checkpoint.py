@@ -50,7 +50,9 @@ __all__ = [
 #: a torn file can never reach the deserializer.  v3 keeps that envelope;
 #: the body changed shape (pending events carry their arguments, messages
 #: are slotted), so a v2 body is refused by version, never unpickled.
-CHECKPOINT_VERSION = 3
+#: v4: a v3 body may pickle ``repro.noc_gpu.simd_network.SimdNetwork``, a
+#: module that no longer exists (folded into :mod:`repro.engine`).
+CHECKPOINT_VERSION = 4
 
 #: file magic; also the format discriminator (v1 files started with the
 #: pickle opcode ``\x80`` and are refused with a version message)

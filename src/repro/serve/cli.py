@@ -87,8 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     start.add_argument(
         "--engine", default="auto", choices=["auto", "oo", "batched"],
-        help="NoC execution engine for engine-aware jobs; unless 'oo', "
-        "same-shape jobs dispatch as lanes of one batched kernel",
+        help="engine request for engine-aware jobs; changes no computation, "
+        "but unless 'oo', same-shape jobs dispatch as lanes of one batch",
     )
     start.add_argument(
         "--chaos-arm", default=None, metavar="JSON",

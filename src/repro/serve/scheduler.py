@@ -72,8 +72,9 @@ class Scheduler:
             the frontier answers 503.
         breaker_cooldown_s: how long the breaker stays open before a
             single half-open probe dispatch is allowed.
-        engine: NoC execution engine hint for engine-aware jobs
-            (``"auto"``/``"oo"``/``"batched"``).  Unless pinned to
+        engine: engine request for engine-aware jobs
+            (``"auto"``/``"oo"``/``"batched"``); it changes no computation
+            (see :mod:`repro.engine.api`), only the dispatch shape.  Unless
             ``"oo"``, same-shape engine-aware jobs meeting in one dispatch
             round run as lanes of a single batched kernel invocation —
             but only after :func:`repro.campaign.spec.jobs_batchable`

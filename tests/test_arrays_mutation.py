@@ -16,13 +16,8 @@ from repro.analysis.arrays.engine import kernels_lint_paths
 
 PACKAGE = Path(repro.__file__).resolve().parent
 
-#: modules the temp tree needs: the contracts + the kernels under test
-TREE = (
-    "engine/layout.py",
-    "engine/kernels.py",
-    "noc_gpu/layout.py",
-    "noc_gpu/kernels.py",
-)
+#: modules the temp tree needs: the contract + the kernels under test
+TREE = ("engine/layout.py", "engine/kernels.py")
 
 #: name -> (rule, old substring, new substring) applied to engine/kernels.py
 MUTATIONS = {

@@ -94,7 +94,7 @@ class TestCounterInvariants:
         counts = net.energy_counters()
         # Total flit-hops = sum over packets of size * hops.
         expected = sum(
-            p.size_flits * p.hops for p in net.state.pkt_objects
+            p.size_flits * p.hops for p in net.batch.state.pkt_objects
         ) if cls is SimdNetwork else None
         if expected is not None:
             assert counts.link_traversals == expected

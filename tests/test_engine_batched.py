@@ -1,21 +1,23 @@
-"""Bit-identity of the lane-batched SIMD engine at the network level.
+"""Lane independence of the SIMD engine at the network level.
 
-The contract under test: a K-lane :class:`repro.engine.network.SimdBatch`
-stepping all lanes in one kernel invocation produces *byte-identical*
-per-lane behaviour to K independent :class:`repro.noc_gpu.SimdNetwork`
-instances — per-packet timing, aggregate statistics, and energy event
-counts — for heterogeneous per-lane traffic.
+The contract under test: lane *k* of a K-lane
+:class:`repro.engine.network.SimdBatch` stepping all lanes in one kernel
+invocation is *byte-identical* to its own one-lane batch — every state
+array after every cycle, per-packet timing, aggregate statistics, and
+energy event counts — for heterogeneous per-lane traffic.
 """
 
 import random
 
+import numpy as np
 import pytest
 
-from repro.engine.network import BatchedSimdNetwork, SimdBatch
+from repro.engine.network import BatchedSimdNetwork, SimdBatch, SimdNetwork
 from repro.errors import ConfigError, SimulationError
 from repro.noc import Mesh, NocConfig, Packet
 from repro.noc.topology import Torus
-from repro.noc_gpu import SimdNetwork
+
+from .test_engine_differential import lane_projection
 
 
 def _traffic(num_nodes, cycles, rate_inv, seed):
@@ -70,51 +72,44 @@ class TestBatchBitIdentity:
             for seed in seeds
         ]
 
-        singles = []
-        for schedule in schedules:
-            net = SimdNetwork(Mesh(*topo_dims), NocConfig())
-            singles.append((_signature(_drive(net, schedule, cycles)), net))
-
+        singles = [SimdNetwork(Mesh(*topo_dims), NocConfig()) for _ in seeds]
         batch = SimdBatch(Mesh(*topo_dims), NocConfig(), lanes=len(seeds))
         lanes = [batch.lane(i) for i in range(len(seeds))]
         # Interleave: inject every lane's cycle-c packets, then step once.
         indices = [0] * len(seeds)
         delivered = [[] for _ in seeds]
-        for cycle in range(cycles):
+        single_delivered = [[] for _ in seeds]
+        cycle = 0
+        while cycle < cycles or batch.in_flight:
             for li, schedule in enumerate(schedules):
                 while (indices[li] < len(schedule)
                        and schedule[indices[li]][0] == cycle):
                     _, src, dst, size = schedule[indices[li]]
-                    lanes[li].inject(
-                        Packet(src=src, dst=dst, size_flits=size, msg_class=0,
-                               inject_cycle=cycle),
-                        cycle,
-                    )
+                    for network in (lanes[li], singles[li]):
+                        network.inject(
+                            Packet(src=src, dst=dst, size_flits=size, msg_class=0,
+                                   inject_cycle=cycle, payload=(li, indices[li])),
+                            cycle,
+                        )
                     indices[li] += 1
             batch.step()
-            for li, lane in enumerate(lanes):
+            for li, (lane, single) in enumerate(zip(lanes, singles)):
+                single.step()
+                for mine, alone in zip(lane_projection(lane), lane_projection(single)):
+                    assert np.array_equal(mine, alone), f"lane {li} cycle {cycle}"
                 delivered[li].extend(lane.pop_delivered())
-        while batch.in_flight:
-            batch.step()
-            for li, lane in enumerate(lanes):
-                delivered[li].extend(lane.pop_delivered())
+                single_delivered[li].extend(single.pop_delivered())
+            cycle += 1
 
-        for li, (single_sig, single_net) in enumerate(singles):
-            assert _signature(delivered[li]) == single_sig
-            lane = lanes[li]
-            assert lane.stats.injected_packets == single_net.stats.injected_packets
-            assert lane.stats.ejected_packets == single_net.stats.ejected_packets
-            assert lane.stats.injected_flits == single_net.stats.injected_flits
-            assert lane.stats.ejected_flits == single_net.stats.ejected_flits
-            assert lane.stats.latencies == single_net.stats.latencies
-            assert lane.stats.network_latencies == single_net.stats.network_latencies
-            lane_energy = lane.energy_counters()
-            single_energy = single_net.energy_counters()
-            for field in ("buffer_writes", "switch_grants", "link_traversals",
-                          "allocations", "ejected_flits"):
-                assert getattr(lane_energy, field) == getattr(
-                    single_energy, field
-                ), f"lane {li} energy field {field}"
+        for li, (lane, single) in enumerate(zip(lanes, singles)):
+            assert single.in_flight == 0
+            assert _signature(delivered[li]) == _signature(single_delivered[li])
+            for name in ("injected_packets", "ejected_packets", "injected_flits",
+                         "ejected_flits", "latencies", "network_latencies"):
+                assert getattr(lane.stats, name) == getattr(single.stats, name), (
+                    f"lane {li} {name}"
+                )
+            assert lane.energy_counters() == single.energy_counters(), f"lane {li}"
 
     def test_kernel_launches_shared_across_lanes(self):
         batch = SimdBatch(Mesh(4, 4), NocConfig(), lanes=4)
@@ -168,12 +163,16 @@ class TestLaneView:
         assert idle.in_flight == 0
 
     def test_single_lane_matches_simd_network(self):
-        """lanes=1 is bit-identical to SimdNetwork on loaded traffic."""
+        """``SimdNetwork`` *is* the lane of a one-lane batch."""
+        calls = []
+        network = SimdNetwork(
+            Mesh(4, 4), NocConfig(), on_eject=lambda p, c: calls.append(c)
+        )
+        assert type(network) is BatchedSimdNetwork
+        assert network.batch.lanes == 1 and network.batch.lane(0) is network
         cycles = 120
         schedule = _traffic(16, cycles, 3, 99)
-        reference = SimdNetwork(Mesh(4, 4), NocConfig())
-        ref_sig = _signature(_drive(reference, schedule, cycles))
+        sig = _signature(_drive(network, schedule, cycles))
         lane = SimdBatch(Mesh(4, 4), NocConfig(), lanes=1).lane(0)
-        lane_sig = _signature(_drive(lane, schedule, cycles))
-        assert lane_sig == ref_sig
-        assert lane.stats.latencies == reference.stats.latencies
+        assert _signature(_drive(lane, schedule, cycles)) == sig
+        assert calls == [p[5] for p in sig]

@@ -2,16 +2,22 @@
 
 Two layers of guarantee:
 
-* :func:`repro.engine.resolve_engine` picks the batched fast path only
-  for compatible configs and logs every fallback with its reason.
-* ``build_cosim(engine="oo")`` and ``build_cosim(engine="auto")``
-  produce bit-identical :class:`CoSimResult`\\ s for every shipped
-  target configuration (shrunk to test size), and
+* :func:`repro.engine.resolve_engine` reports the vectorised kernels
+  only for compatible configs, whatever engine the caller requested,
+  and logs every fallback with its reason.
+* ``build_cosim`` reproduces, for every shipped ``simd`` target
+  configuration (shrunk to test size), the :class:`CoSimResult`
+  signature recorded from ``build_cosim(engine="oo")`` at the last
+  commit where that built the independent ``noc_gpu`` twin
+  (``fixtures/simd_oracle_digests.json``, written by
+  ``tests/test_engine_differential.py``), and
   :func:`repro.engine.run_cosim_batch` reproduces K individual runs
   byte for byte from one shared kernel batch.
 """
 
+import json
 import logging
+from pathlib import Path
 
 import pytest
 
@@ -21,13 +27,16 @@ from repro.engine import (
     resolve_engine,
     run_cosim_batch,
 )
-from repro.engine.api import OO_KERNEL_VERSION, get_engine
+from repro.engine.api import OO_KERNEL_VERSION
 from repro.engine.batch import configs_batchable
 from repro.errors import ConfigError
 from repro.harness.experiments import shipped_target_configs
 from repro.noc import NocConfig
 
+from .test_engine_differential import _digest
+
 _SIMD_MESH = TargetConfig(width=4, height=4, network_model="simd")
+_FIXTURE = Path(__file__).parent / "fixtures" / "simd_oracle_digests.json"
 
 
 def _shrunk(config):
@@ -49,12 +58,44 @@ def _result_sig(result):
     )
 
 
+def _shipped_run(config):
+    """One shrunk shipped config run as the recorded signatures were:
+    ``engine="oo"`` built the ``noc_gpu`` twin at the recording commit
+    and builds what every request builds today.
+
+    Large meshes: truncated-run equivalence over the same bounded window
+    sequence; a full run at test-sized workloads takes minutes on 256+
+    routers (and `water` at degenerate scale has a pathological protocol
+    tail there that predates the engine layer — see the drain guard in
+    cosim.py).
+    """
+    small = _shrunk(config)
+    kwargs = {}
+    if small.width * small.height > 16:
+        kwargs["max_cycles"] = 1024
+    return build_cosim(small, verify="off", engine="oo").run(**kwargs)
+
+
+def _sig_digest(result) -> str:
+    *scalars, applied, feedback = _result_sig(result)
+    return _digest([*scalars, sorted(applied.items()), sorted(feedback.items())])
+
+
+def recorded_cosim_signatures() -> dict:
+    """``label -> signature digest`` of every shipped ``simd`` config
+    (the fixture's ``cosim`` section; see test_engine_differential)."""
+    return {
+        label: _sig_digest(_shipped_run(config))
+        for label, config in shipped_target_configs()
+        if config.network_model == "simd"
+    }
+
+
 class TestResolveEngine:
-    def test_oo_is_pinned(self):
+    def test_oo_request_still_runs_the_kernels(self):
         decision = resolve_engine(_SIMD_MESH, engine="oo")
-        assert decision.name == "oo"
-        assert not decision.is_batched
-        assert decision.kernel_version == OO_KERNEL_VERSION
+        assert decision.is_batched
+        assert decision.kernel_version == KERNEL_VERSION
 
     def test_auto_picks_batched_when_compatible(self):
         decision = resolve_engine(_SIMD_MESH, engine="auto")
@@ -64,8 +105,6 @@ class TestResolveEngine:
     def test_unknown_engine_rejected(self):
         with pytest.raises(ConfigError):
             resolve_engine(_SIMD_MESH, engine="turbo")
-        with pytest.raises(ConfigError):
-            get_engine("turbo")
 
     @pytest.mark.parametrize(
         "config, expect_in_reason",
@@ -95,9 +134,11 @@ class TestResolveEngine:
 
     def test_fallback_log_levels(self, caplog):
         cycle = TargetConfig(width=4, height=4)  # cycle model: unsupported
-        with caplog.at_level(logging.INFO, logger="repro.engine"):
-            resolve_engine(cycle, engine="auto")
-        assert caplog.records[-1].levelno == logging.INFO
+        for request in ("auto", "oo"):
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="repro.engine"):
+                resolve_engine(cycle, engine=request)
+            assert caplog.records[-1].levelno == logging.INFO
 
         caplog.clear()
         with caplog.at_level(logging.INFO, logger="repro.engine"):
@@ -136,10 +177,10 @@ class TestFallbackProvenance:
         self._run_and_check(config, "network_model", caplog)
 
     def _check_unbuildable(self, config, expect_in_reason, caplog):
-        # The OO SimdNetwork enforces the same limits as the batched
-        # kernels for these causes, so no result exists to stamp; the
-        # provenance contract here is the logged reason, the decision
-        # fields, and a ConfigError instead of a silent wrong answer.
+        # The kernels are the only 'simd' implementation, so no result
+        # exists to stamp; the provenance contract here is the logged
+        # reason, the decision fields, and one ConfigError naming the
+        # cause instead of a silent wrong answer.
         with caplog.at_level(logging.INFO, logger="repro.engine"):
             decision = resolve_engine(config, engine="auto")
         record = caplog.records[-1]
@@ -148,8 +189,9 @@ class TestFallbackProvenance:
         assert decision.name == "oo"
         assert expect_in_reason in decision.reason
         assert decision.kernel_version == OO_KERNEL_VERSION
-        with pytest.raises(ConfigError):
-            build_cosim(config, verify="off")
+        for request in ("auto", "oo", "batched"):
+            with pytest.raises(ConfigError, match=expect_in_reason):
+                build_cosim(config, verify="off", engine=request)
 
     def test_non_mesh_topology(self, caplog):
         config = TargetConfig(
@@ -185,19 +227,33 @@ class TestBuildCosimSelection:
         cosim = build_cosim(_SIMD_MESH, verify="off")
         assert cosim.engine_decision.is_batched
 
-    def test_oo_request_honoured(self):
-        cosim = build_cosim(_SIMD_MESH, verify="off", engine="oo")
-        assert cosim.engine_decision.name == "oo"
+    @staticmethod
+    def _recorded_engine(cosim):
+        return cosim.run(max_cycles=64).network_description["engine"]
 
-    def test_injected_factory_pins_oo(self):
+    def test_oo_request_records_batched(self):
+        # "oo" is still accepted (the ledger's reference cut passes it),
+        # but provenance says what ran: there is one 'simd' implementation
+        cosim = build_cosim(
+            _SIMD_MESH.variant(app="water", scale=0.05), verify="off", engine="oo"
+        )
+        assert cosim.engine_decision.is_batched
+        assert self._recorded_engine(cosim) == {
+            "name": "batched", "kernel_version": KERNEL_VERSION,
+        }
+
+    def test_injected_factory_records_batched(self):
         from repro.noc_gpu import SimdNetwork
 
         cosim = build_cosim(
-            _SIMD_MESH,
+            _SIMD_MESH.variant(app="water", scale=0.05),
             simd_network_factory=SimdNetwork,
             verify="off",
         )
-        assert cosim.engine_decision.name == "oo"
+        assert cosim.engine_decision.is_batched
+        assert self._recorded_engine(cosim) == {
+            "name": "batched", "kernel_version": KERNEL_VERSION,
+        }
 
     def test_fault_config_falls_back(self):
         from repro.resilience.faults import FaultConfig
@@ -212,7 +268,7 @@ class TestBuildCosimSelection:
 
 
 class TestShippedConfigEquivalence:
-    """oo-vs-auto bit-identity for every shipped target configuration."""
+    """Recorded-twin bit-identity for every shipped target configuration."""
 
     @pytest.mark.parametrize(
         "label, config",
@@ -220,24 +276,14 @@ class TestShippedConfigEquivalence:
          for label, config in shipped_target_configs()],
     )
     def test_engines_agree(self, label, config):
-        small = _shrunk(config)
-        decision = resolve_engine(small, engine="auto")
+        decision = resolve_engine(_shrunk(config), engine="auto")
         if not decision.is_batched:
             # Unsupported configs must fall back, never fail.
             assert decision.name == "oo"
             assert "fallback" in decision.reason
             return
-        # Large meshes: truncated-run equivalence.  Both engines execute
-        # the same bounded window sequence; a full run at test-sized
-        # workloads takes minutes on 256+ routers (and `water` at
-        # degenerate scale has a pathological protocol tail there that
-        # predates the engine layer — see the drain guard in cosim.py).
-        kwargs = {}
-        if small.width * small.height > 16:
-            kwargs["max_cycles"] = 1024
-        oo = build_cosim(small, verify="off", engine="oo").run(**kwargs)
-        fast = build_cosim(small, verify="off", engine="auto").run(**kwargs)
-        assert _result_sig(fast) == _result_sig(oo), label
+        recorded = json.loads(_FIXTURE.read_text())["cosim"]
+        assert _sig_digest(_shipped_run(config)) == recorded[label], label
 
 
 class TestRunCosimBatch:

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import TargetConfig
+from repro.engine import BatchedSimdNetwork
 from repro.errors import ConfigError
 from repro.harness import (
     HostTimingModel,
@@ -25,7 +26,6 @@ from repro.harness import (
     sweep_injection,
 )
 from repro.noc import CycleNetwork, Mesh
-from repro.noc_gpu import SimdNetwork
 from repro.workloads import SyntheticTraffic
 
 
@@ -101,7 +101,7 @@ class TestReport:
 class TestRunners:
     def test_make_network(self):
         assert isinstance(make_network("cycle", Mesh(2, 2)), CycleNetwork)
-        assert isinstance(make_network("simd", Mesh(2, 2)), SimdNetwork)
+        assert isinstance(make_network("simd", Mesh(2, 2)), BatchedSimdNetwork)
         with pytest.raises(ConfigError):
             make_network("fpga", Mesh(2, 2))
 

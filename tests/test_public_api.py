@@ -1,6 +1,10 @@
 """Public-API surface tests: exports exist, __all__ is honest, version set."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +14,7 @@ SUBPACKAGES = [
     "repro.core",
     "repro.noc",
     "repro.noc_gpu",
+    "repro.engine",
     "repro.abstractnet",
     "repro.fullsys",
     "repro.dram",
@@ -35,6 +40,12 @@ class TestExports:
         assert callable(repro.CoSimulator)
         assert callable(repro.SimdNetwork)
         assert callable(repro.CycleNetwork)
+
+    def test_simd_network_is_one_object(self):
+        import repro.engine
+        import repro.noc_gpu
+
+        assert repro.SimdNetwork is repro.noc_gpu.SimdNetwork is repro.engine.SimdNetwork
 
     def test_error_hierarchy_rooted(self):
         for name in (
@@ -65,3 +76,21 @@ class TestReadmeSnippet:
         fixed = build_cosim(base.variant(network_model="fixed")).run()
         assert truth.mean_latency() > 0
         assert fixed.finish_cycle is not None
+
+
+class TestRuntimeDependencies:
+    def test_simd_cosim_builds_without_networkx(self):
+        """``networkx`` is a ``test`` extra: building the detailed
+        co-simulation must not import it (a third of the import time)."""
+        code = (
+            "import sys, repro\n"
+            "from repro import TargetConfig, build_cosim\n"
+            "build_cosim(TargetConfig(width=4, height=4, network_model='simd'))\n"
+            "sys.exit('networkx' in sys.modules)\n"
+        )
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr or "networkx was imported"

@@ -145,7 +145,7 @@ class TestEnvelopeV2:
         header = json.loads(
             blob[len(b"REPROCKPT2\n"):].split(b"\n", 1)[0]
         )
-        assert header["version"] == CHECKPOINT_VERSION == 3
+        assert header["version"] == CHECKPOINT_VERSION == 4
         assert len(header["sha256"]) == 64
         assert header["body_len"] > 0
 
@@ -189,27 +189,39 @@ class TestEnvelopeV2:
         with pytest.raises(CheckpointError, match="format v1"):
             load_checkpoint(path)
 
-    def test_v2_body_refused_by_version_before_unpickling(self, tmp_path, monkeypatch):
-        # A snapshot written before events carried their arguments: same
-        # envelope, older body.  It must be refused with the structured
-        # version message, not unpickled into a crash later.
+    @staticmethod
+    def _stale_body_refused(version, tmp_path, monkeypatch):
+        # Same envelope, older body: it must be refused with the
+        # structured version message, not unpickled into a crash later.
         import hashlib
         import pickle
 
-        body = b"a v2 pickle body"
+        body = f"a v{version} pickle body".encode("ascii")
         header = json.dumps({
-            "version": 2, "config": "", "cycle": 0, "body_len": len(body),
+            "version": version, "config": "", "cycle": 0, "body_len": len(body),
             "sha256": hashlib.sha256(body).hexdigest(),
         }).encode("utf-8")
-        path = tmp_path / "v2.ckpt"
+        path = tmp_path / f"v{version}.ckpt"
         path.write_bytes(b"REPROCKPT2\n" + header + b"\n" + body)
 
         def forbidden(*a, **k):  # pragma: no cover - the assertion
             raise AssertionError("pickle.loads ran on a stale-format body")
 
         monkeypatch.setattr(pickle, "loads", forbidden)
-        with pytest.raises(CheckpointError, match="format v2 != supported v3"):
+        with pytest.raises(
+            CheckpointError, match=f"format v{version} != supported v4"
+        ):
             load_checkpoint(str(path))
+
+    def test_v2_body_refused_by_version_before_unpickling(self, tmp_path, monkeypatch):
+        # A snapshot written before events carried their arguments.
+        self._stale_body_refused(2, tmp_path, monkeypatch)
+
+    def test_v3_body_refused_by_version_before_unpickling(self, tmp_path, monkeypatch):
+        # A snapshot written when ``engine="oo"`` pickled the since-deleted
+        # ``repro.noc_gpu.simd_network.SimdNetwork``: past the version gate
+        # ``pickle.loads`` would die with ModuleNotFoundError.
+        self._stale_body_refused(3, tmp_path, monkeypatch)
 
     def test_corrupt_error_is_a_checkpoint_error(self):
         # Callers catching the broad class keep working.

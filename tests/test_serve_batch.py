@@ -11,6 +11,7 @@ import json
 import pytest
 
 from repro.campaign.spec import JobSpec, execute_job
+from repro.engine.api import KERNEL_VERSION
 from repro.serve.cache import ResultCache
 from repro.serve.metrics import PREFIX, Metrics
 from repro.serve.queuein import AdmissionQueue, QueuedJob
@@ -140,9 +141,11 @@ class TestBatchingGates:
         # Individual engine-aware dispatches still chart as lanes=1.
         assert metrics.histogram_count(f"{PREFIX}_engine_batch_size") == 2
         assert metrics.histogram_sum(f"{PREFIX}_engine_batch_size") == 2.0
+        # "oo" pins the dispatch shape, not the kernels: provenance says
+        # what ran, and there is one 'simd' implementation.
         for spec in specs:
             row = cache.job_row(spec.job_id)
-            assert row.engine == "oo"
+            assert (row.engine, row.kernel_version) == ("batched", KERNEL_VERSION)
 
     def test_checkpointing_disables_batching(self, tmp_path):
         scheduler, cache, _ = _make_scheduler(

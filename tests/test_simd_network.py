@@ -5,16 +5,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine.layout import build_batch_state
 from repro.errors import ConfigError, SimulationError
 from repro.noc import ConcentratedMesh, Mesh, NocConfig, Packet, Torus
-from repro.noc_gpu import SimdNetwork, build_state
+from repro.noc_gpu import SimdNetwork
 from repro.workloads import SyntheticTraffic
+
+
+def build_state(topo, config):
+    """The state of a single network: a batch of one lane."""
+    return build_batch_state(topo, config, lanes=1)
 
 
 class TestStateLayout:
     def test_geometry_tables(self):
         state = build_state(Mesh(3, 2), NocConfig())
-        assert state.R == 6 and state.P == 5
+        assert (state.L, state.R, state.P) == (1, 6, 5)
+        assert state.count.shape == (1, 6, 5, state.V)
+        assert state.buf_pkt.shape == (1, 6, 5, state.V, state.B)
         # Router 0 is (0,0): east neighbour is 1, no west/south.
         from repro.noc.topology import EAST, SOUTH, WEST
 
@@ -26,13 +34,14 @@ class TestStateLayout:
         from repro.noc.topology import WEST
 
         state = build_state(Mesh(2, 2), NocConfig(buffer_depth=4))
-        assert (state.credits[0, WEST, :] == 0).all()
+        assert (state.credits[0, 0, WEST, :] == 0).all()
 
     def test_local_port_credits_are_effectively_infinite(self):
-        from repro.noc.topology import LOCAL
+        from repro.noc.topology import EAST, LOCAL
 
-        state = build_state(Mesh(2, 2), NocConfig())
-        assert (state.credits[:, LOCAL, :] > 10**5).all()
+        state = build_state(Mesh(2, 2), NocConfig(buffer_depth=4))
+        assert (state.credits[0, 0, EAST, :] == 4).all()  # a connected port
+        assert (state.credits[0, :, LOCAL, :] > 10**5).all()
 
     def test_packet_table_growth(self):
         state = build_state(Mesh(2, 2), NocConfig())
@@ -103,7 +112,7 @@ class TestConservation:
         )
         from repro.noc.topology import LOCAL
 
-        credits = net.state.credits
+        credits = net.batch.state.credits[0]
         assert (credits >= 0).all()
         # Non-local credits never exceed the buffer depth.
         non_local = np.delete(credits, LOCAL, axis=1)

@@ -2,7 +2,9 @@
 
 The experiments use the SIMD simulator as the cycle-level ground truth
 (it is several times faster); these tests bound how far its aggregate
-behaviour may drift from the reference OO implementation.
+behaviour may drift from the reference OO implementation — the one
+live reference the vectorised kernels of ``repro.engine`` are held to
+(``docs/simd-network.md`` states the bounds as identities).
 """
 
 import pytest
@@ -83,3 +85,24 @@ class TestSaturationAgreement:
         oo, simd = run_pair("uniform", 0.12, cycles=800)
         assert oo.mean_latency > 40  # confirms the point is congested
         assert simd.mean_latency == pytest.approx(oo.mean_latency, rel=0.2)
+
+
+class TestPinnedScheduleBound:
+    def test_bench_schedule_deliveries_within_half_a_percent(self):
+        """The "vectorised ≈ OO" identity on ``repro.bench``'s pinned 16x16
+        schedule: the two simulators deliver the same packets over the
+        same window to within 0.5 % (5409 vs 5403 when this was written;
+        lock-step grant timing may differ by a cycle, see the kernels)."""
+        from repro.bench.harness import (
+            _KERNEL_FULL,
+            PINNED_SEED,
+            _drive,
+            _traffic_schedule,
+        )
+
+        side, cycles, per_cycle = _KERNEL_FULL
+        schedule = _traffic_schedule(side * side, cycles, per_cycle, PINNED_SEED)
+        _, oo = _drive(CycleNetwork(Mesh(side, side), NocConfig()), schedule, cycles)
+        _, simd = _drive(SimdNetwork(Mesh(side, side), NocConfig()), schedule, cycles)
+        assert oo > 5000  # the window is loaded, not idle
+        assert simd == pytest.approx(oo, rel=0.005)
