@@ -55,6 +55,13 @@ class FieldSpec:
     a flattened run of axes, indexed by one C-order flat index over
     those dims.  ``flat_of`` names the N-d field a view shares memory
     with; its dtype and value domain are that field's.
+
+    An *index table* — ``values`` spelled as a dim product — may declare
+    ``stride`` (trailing dims that are zero in every entry: ``cell*B`` has
+    stride ``B``, so adding a slot stays in the family) and ``injective``
+    (distinct indices give distinct entries, so a gather through it keeps
+    its index's uniqueness).  ``derived`` marks state the class rebuilds
+    instead of pickling; it is counted, not interpreted.
     """
 
     name: str
@@ -62,6 +69,9 @@ class FieldSpec:
     dtype: str
     values: Optional[str] = None
     flat_of: Optional[str] = None
+    stride: Tuple[str, ...] = ()
+    injective: bool = False
+    derived: bool = False
 
     @property
     def rank(self) -> int:
@@ -77,6 +87,9 @@ class Contract:
     lane_axis: Optional[str]
     fields: Dict[str, FieldSpec]
     domains: Dict[str, Dict] = field(default_factory=dict)
+    #: kernel parameters that are not state: name -> the dim product a
+    #: duplicate-free ascending flat index passed under that name covers
+    params: Dict[str, str] = field(default_factory=dict)
 
     def lane_partitioned(self, domain: Optional[str]) -> bool:
         """Whether values of ``domain`` never cross lanes by contract."""
@@ -97,6 +110,15 @@ class Contract:
         symbol = self.domains.get(symbol, {}).get("dim", symbol)
         factors = tuple(symbol.split("*"))
         return factors if all(f in self.dims for f in factors) else None
+
+    def is_index_table(self, spec: FieldSpec) -> bool:
+        """Whether ``spec``'s entries are flat indices (a dim-product
+        ``values``, not a named domain such as ``port``)."""
+        return (
+            spec.values is not None
+            and spec.values not in self.domains
+            and self.family(spec.values) is not None
+        )
 
 
 @dataclass
@@ -126,10 +148,12 @@ class ContractRegistry:
                     "dims": list(c.dims),
                     "lane_axis": c.lane_axis,
                     "fields": {
-                        f: [list(s.axes), s.dtype, s.values, s.flat_of]
+                        f: [list(s.axes), s.dtype, s.values, s.flat_of,
+                            list(s.stride), s.injective, s.derived]
                         for f, s in sorted(c.fields.items())
                     },
                     "domains": c.domains,
+                    "params": c.params,
                 }
                 for name, c in sorted(self.contracts.items())
             },
@@ -152,6 +176,9 @@ def _field_from_literal(fname: str, fspec: Dict, declared: Dict) -> FieldSpec:
             axes=axes,
             dtype=str(fspec.get("dtype", "int64")),
             values=fspec.get("values"),
+            stride=tuple(str(fspec["stride"]).split("*")) if fspec.get("stride") else (),
+            injective=bool(fspec.get("injective", False)),
+            derived=bool(fspec.get("derived", False)),
         )
     # A view flattens runs of its base's axes, nothing else.
     base_spec = declared[base]
@@ -180,6 +207,7 @@ def _contract_from_literal(name: str, spec: Dict) -> Optional[Contract]:
             lane_axis=spec.get("lane_axis"),
             fields=fields,
             domains=dict(spec.get("domains", {})),
+            params={str(k): str(v) for k, v in spec.get("params", {}).items()},
         )
     except (KeyError, TypeError, AttributeError):
         return None

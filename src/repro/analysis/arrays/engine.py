@@ -154,6 +154,16 @@ def kernels_lint_paths(
         ),
         "contracts": len(registry.contracts),
         "dtype_bounds": len(registry.dtype_bounds),
+        "derived_tables": sum(
+            spec.derived
+            for contract in registry.contracts.values()
+            for spec in contract.fields.values()
+        ),
+        # pre-baseline and pragma-proof on purpose: an unsighted table is
+        # a hole in the analysis, not a finding to be suppressed
+        "undeclared_fields": sum(
+            ":undeclared-field:" in v.context for v in raw_violations
+        ),
         "kernel_cache_hits": cache.hits,
         "kernel_cache_misses": cache.misses,
     }

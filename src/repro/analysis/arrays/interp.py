@@ -35,8 +35,14 @@ dims (keeping the lane, losing uniqueness), ``% dims`` keeps only them
 is known to lie in their range (a ``% dims`` result, an argmax over that
 axis, a value of a domain declaring that ``dim``) and stays duplicate-
 free; a gather from a field whose value domain is a dim product is a
-flat index of that family.  Indexing a view with a flat index of another
-family is SIM305.  ``keep = mask.nonzero()[0]`` over a data-dependent
+flat index of that family — an *index table* (``cell_pc``, ``nbr_cell``):
+the gather carries the lane when the family leads with it, has the
+table's declared ``stride`` as trailing zeros (so ``+ small`` stays in
+the family), and keeps its index's uniqueness only through a table
+declared ``injective``.  Indexing a view with a flat index of another
+family is SIM305, and so is subscripting an attribute of a contract
+class that the contract does not declare: an undeclared table would
+make everything gathered through it invisible to the other rules.  ``keep = mask.nonzero()[0]`` over a data-dependent
 mask is a *selection*: ``a[keep]`` filters exactly like ``a[mask]``.
 
 The pass records rule *candidates* plus the call/loop events the rule
@@ -54,7 +60,7 @@ from .contracts import DTYPE_WIDTH, Contract, ContractRegistry
 __all__ = ["ARRAYS_FACTS_VERSION", "extract_kernel_module"]
 
 #: bump to invalidate cached per-module kernel facts
-ARRAYS_FACTS_VERSION = 3
+ARRAYS_FACTS_VERSION = 4
 
 _REDUCERS = ("sum", "min", "max", "mean", "prod", "any", "all")
 _ALLOCATORS = ("zeros", "ones", "empty", "full", "arange")
@@ -66,7 +72,7 @@ class AV:
     __slots__ = (
         "kind", "shape", "dtype", "known", "lane", "lane_part",
         "winnow", "nz", "chain", "bounded", "values", "contract",
-        "dim", "scatter", "flat", "zeros", "select",
+        "dim", "scatter", "flat", "zeros", "select", "lossy",
     )
 
     def __init__(
@@ -87,6 +93,7 @@ class AV:
         flat: Optional[Tuple[str, ...]] = None,
         zeros: int = 0,
         select: bool = False,
+        lossy: bool = False,
     ) -> None:
         self.kind = kind
         self.shape = shape
@@ -108,6 +115,8 @@ class AV:
         #: a ``mask.nonzero()[0]`` selection: indexes like the mask itself
         #: (``winnow`` then says whether the *mask* was a winner mask)
         self.select = select
+        #: a many-to-one index table: gathers through it are not unique
+        self.lossy = lossy
         #: (key name, score name) after np.minimum.at(self, key, score)
         self.scatter: Optional[Tuple[str, str]] = None
 
@@ -127,6 +136,7 @@ class AV:
             bounded=self.bounded, values=self.values,
             contract=self.contract, dim=self.dim,
             flat=self.flat, zeros=self.zeros, select=self.select,
+            lossy=self.lossy,
         )
         for name, value in overrides.items():
             setattr(av, name, value)
@@ -247,6 +257,17 @@ class _FuncInterp:
                 )
                 if contract.lane_axis and self.lane_contract is None:
                     self.lane_contract = contract
+        # declared index parameters of a kernel over that contract: a
+        # duplicate-free flat index, as ``np.flatnonzero`` would give
+        for contract_name in set(self.contract_params.values()):
+            contract = registry.contracts[contract_name]
+            for name, product in contract.params.items():
+                family = contract.family(product)
+                if name in self.params and name not in self.env and family:
+                    self.env[name] = AV(
+                        kind="array", shape=("n",), dtype="int64", known=True,
+                        flat=family, winnow=True, lane=self.lane_major(family),
+                    )
 
     # -- bookkeeping ----------------------------------------------------
     @property
@@ -631,6 +652,7 @@ class _FuncInterp:
         if isinstance(node, ast.Attribute):
             return self._eval_attribute(node)
         if isinstance(node, ast.Subscript):
+            self._check_declared(node.value)
             base = self.eval(node.value)
             return self._subscript(base, node.slice, node)
         if isinstance(node, ast.BinOp):
@@ -668,11 +690,29 @@ class _FuncInterp:
                     kind="array", shape=spec.axes, dtype=spec.dtype,
                     known=True, values=spec.values, contract=contract,
                     lane_part=contract.lane_partitioned(spec.values),
+                    zeros=len(spec.stride),
+                    lossy=contract.is_index_table(spec) and not spec.injective,
                 )
             if node.attr in contract.dims:
                 return AV(kind="dim", known=True, dim=node.attr,
                           contract=contract, dtype="int64")
         return _UNKNOWN
+
+    def _check_declared(self, node: ast.expr) -> None:
+        """SIM305: ``st.<attr>[...]`` where the contract declares no ``attr``."""
+        if not isinstance(node, ast.Attribute):
+            return
+        owner = self.eval(node.value)
+        contract = owner.contract if owner.kind == "contract" else None
+        if contract is None or node.attr in contract.fields or node.attr in contract.dims:
+            return
+        self.flag(
+            "shape-contract", node,
+            f"'{node.attr}' is indexed but {contract.name}'s SHAPE_CONTRACT does "
+            "not declare it; whatever is gathered through it is invisible to "
+            "the kernel rules — declare its shape, dtype and value domain",
+            f"undeclared-field:{node.attr}",
+        )
 
     def _eval_binop(self, node: ast.BinOp) -> AV:
         left = self.eval(node.left)
@@ -880,10 +920,11 @@ class _FuncInterp:
             known=known,
             lane=base.lane or self.lane_major(family),
             lane_part=base.lane_part,
-            winnow=result_winnow or base.winnow,
+            winnow=(result_winnow and not base.lossy) or base.winnow,
             values=base.values,
             contract=base.contract,
             flat=family,
+            zeros=base.zeros if family else 0,
         )
 
     def _flat_nonzero(self, mask: AV) -> AV:
@@ -1060,19 +1101,7 @@ class _FuncInterp:
             self.eval(node.args[0])
             return _UNKNOWN
         if name in ("argmax", "argmin") and node.args:
-            arr = self.eval(node.args[0])
-            axis = self._check_axis(node, arr)
-            shape = ("n",)
-            if arr.shape is not None and axis is not None:
-                shape = tuple(
-                    s for i, s in enumerate(arr.shape) if i != axis
-                ) or ("n",)
-            # an argmax along one axis is a position in that axis
-            reduced = None
-            if arr.shape is not None and axis is not None:
-                reduced = _family_of_shape((arr.shape[axis],))
-            return AV(kind="array", shape=shape, dtype="int64",
-                      known=arr.known, flat=reduced)
+            return self._arg_extreme(node, self.eval(node.args[0]))
         if name in _REDUCERS and node.args:
             arr = self.eval(node.args[0])
             return self._reduce(node, arr, name)
@@ -1085,6 +1114,20 @@ class _FuncInterp:
             self.eval(arg)
         return _UNKNOWN
 
+    def _arg_extreme(self, node: ast.Call, arr: AV) -> AV:
+        """``np.argmax(arr, axis=k)`` / ``arr.argmin(axis=k)``."""
+        axis = self._check_axis(node, arr)
+        shape: Tuple[str, ...] = ("n",)
+        reduced = None
+        if arr.shape is not None and axis is not None:
+            shape = tuple(
+                s for i, s in enumerate(arr.shape) if i != axis
+            ) or ("n",)
+            # an argmax along one axis is a position in that axis
+            reduced = _family_of_shape((arr.shape[axis],))
+        return AV(kind="array", shape=shape, dtype="int64",
+                  known=arr.known, flat=reduced)
+
     def _eval_method(self, node: ast.Call) -> AV:
         func = node.func
         if not isinstance(func, ast.Attribute):
@@ -1095,6 +1138,8 @@ class _FuncInterp:
             return self._eval_astype(node, base)
         if method in _REDUCERS:
             return self._reduce(node, base, method)
+        if method in ("argmax", "argmin"):
+            return self._arg_extreme(node, base)
         if method == "copy":
             return base
         if method == "nonzero" and base.is_array and base.shape is not None:

@@ -37,7 +37,7 @@ log = logging.getLogger("repro.engine")
 
 #: version tag of the batched kernel pipeline, recorded in result
 #: provenance so a cached row can be traced to the kernels that made it.
-KERNEL_VERSION = "batched-simd-2"
+KERNEL_VERSION = "batched-simd-3"
 
 #: version tag recorded for runs executed by the OO router loop.
 OO_KERNEL_VERSION = "oo-loop-1"

@@ -26,24 +26,39 @@ arrays above (``count_f`` is ``count.reshape(-1)``, same memory):
 * ``cell`` indexes the ``[L,R,P,V]`` views — the input side as
   ``(lane, r, in_port, in_vc)`` and the output side (``ovc_owner``,
   ``credits``, ``va_ptr``) as ``(lane, r, out_port, out_vc)``;
-* ``cell // V`` is the *port cell* ``(lane*R + r)*P + p`` indexing the
-  ``[L,R,P]`` pointer views and :attr:`BatchState.nbr_pc`;
-  ``cell % V`` is ``v``; ``port_cell % P`` is ``p``;
-* ``cell // (P*V)`` is the *lane router* ``lane*R + r`` and
-  ``cell // (R*P*V)`` the lane;
+* the *port cell* ``(lane*R + r)*P + p`` indexes the ``[L,R,P]`` pointer
+  views and the rows of ``ovc_owner_pv``;
 * ``cell*B + slot`` indexes the ``[L,R,P,V,B]`` buffer views.
+
+Geometry tables.  Every decomposition of a flat index is static, so no
+kernel computes one: ``_bind_derived`` builds, once per batch, lane-tiled
+tables over the cell and port-cell index (``cell_pc[cell]`` is the port
+cell, ``cell_slot0[cell]`` is ``cell*B``, ``nbr_cell[cell]`` the same VC
+at the far end of the link, ``xy_route[r*R + dst]`` the XY output port,
+``rank_v[v*V + ptr]`` a round-robin rank, …; the full list with shapes is
+in ``docs/simd-network.md``) and a per-cycle stage is gathers from them
+plus adds of two gathered arrays.  At the 40–240 active cells of a cycle
+a gather costs a third of an index array combined with a Python scalar
+(``cell // V``).  Tables that are used as indices are ``int64``: NumPy
+casts any other index dtype on every call.
+
+One derived array is *dynamic*: ``held[cell]`` is the output cell an
+active input VC holds (−1 otherwise), written at VC allocation, cleared
+at the tail, and equal to ``(router's first port cell + route_port)*V +
+out_vc`` wherever ``active`` — which is how ``_bind_derived`` rebuilds it.
 
 C order of the flat index is the lane-major order ``np.nonzero`` gave
 the N-d masks, so every gather, scatter and arbitration tie-break sees
-cells in the order it always did.  Views are *derived* state: a pickle
-of an array and of a view of it yields two unrelated arrays, so views
-(and the geometry tables and scratch below) are left out of
-``__getstate__`` and rebuilt by ``__setstate__``.
+cells in the order it always did.  Views and tables are *derived* state:
+a pickle of an array and of a view of it yields two unrelated arrays, so
+everything ``_bind_derived`` builds is left out of ``__getstate__`` and
+rebuilt by ``__setstate__``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from typing import List
 
 import numpy as np
@@ -111,9 +126,9 @@ SHAPE_CONTRACT = {
             "active": {"shape": "L,R,P,V", "dtype": "bool"},
             "ovc_owner": {"shape": "L,R,P,V", "dtype": "int16"},
             "credits": {"shape": "L,R,P,V", "dtype": "int64"},
-            "sa_in_ptr": {"shape": "L,R,P", "dtype": "int32"},
-            "sa_out_ptr": {"shape": "L,R,P", "dtype": "int32"},
-            "va_ptr": {"shape": "L,R,P,V", "dtype": "int32"},
+            "sa_in_ptr": {"shape": "L,R,P", "dtype": "int32", "values": "vc"},
+            "sa_out_ptr": {"shape": "L,R,P", "dtype": "int32", "values": "port"},
+            "va_ptr": {"shape": "L,R,P,V", "dtype": "int32", "values": "P*V"},
             "pkt_dst_router": {"shape": "N", "dtype": "int32", "values": "router"},
             # 1-d views (``flat_of``: same memory, dtype and value domain
             # as the named field) — what the kernels actually index
@@ -132,11 +147,62 @@ SHAPE_CONTRACT = {
             "va_ptr_f": {"shape": "L*R*P*V", "flat_of": "va_ptr"},
             "sa_in_ptr_f": {"shape": "L*R*P", "flat_of": "sa_in_ptr"},
             "sa_out_ptr_f": {"shape": "L*R*P", "flat_of": "sa_out_ptr"},
-            # lane-tiled geometry and arbitration scratch (derived)
-            "nbr_pc": {"shape": "L*R*P", "dtype": "int64", "values": "L*R*P"},
-            "arb_cell": {"shape": "L*R*P*V", "dtype": "int64"},
-            "arb_pc": {"shape": "L*R*P", "dtype": "int64"},
+            # Derived index tables (``"derived": True``: built by
+            # ``_bind_derived``, never pickled).  ``values`` spelled as a dim
+            # product says the entries are flat indices of that family, so
+            # ``st.<table>[flat]`` is again a flat index (lane carried when
+            # the family leads with it); ``stride`` names trailing dims that
+            # are zero in every entry, so ``st.<table>[flat] + small`` stays
+            # in the family; a gather keeps its index's uniqueness only
+            # through a table declared ``injective``.
+            "cell_pc": {"shape": "L*R*P*V", "dtype": "int64", "values": "L*R*P",
+                        "derived": True},
+            "cell_pc0": {"shape": "L*R*P*V", "dtype": "int64", "values": "L*R*P",
+                         "stride": "P", "derived": True},
+            "cell_slot0": {"shape": "L*R*P*V", "dtype": "int64", "values": "L*R*P*V*B",
+                           "stride": "B", "injective": True, "derived": True},
+            "cell_rR": {"shape": "L*R*P*V", "dtype": "int64", "values": "R*R",
+                        "stride": "R", "derived": True},
+            "cell_vV": {"shape": "L*R*P*V", "dtype": "int64", "values": "V*V",
+                        "stride": "V", "derived": True},
+            "cell_code": {"shape": "L*R*P*V", "dtype": "int64", "values": "P*V",
+                          "derived": True},
+            "cell_codePV": {"shape": "L*R*P*V", "dtype": "int64", "values": "P*V*P*V",
+                             "stride": "P*V", "derived": True},
+            "cell_next_v": {"shape": "L*R*P*V", "dtype": "int32", "values": "vc",
+                            "derived": True},
+            "cell_lane": {"shape": "L*R*P*V", "dtype": "int64", "values": "L",
+                          "derived": True},
+            "cell_linked": {"shape": "L*R*P*V", "dtype": "bool", "derived": True},
+            "nbr_cell": {"shape": "L*R*P*V", "dtype": "int64", "values": "L*R*P*V",
+                         "injective": True, "derived": True},
+            "pc_cell0": {"shape": "L*R*P", "dtype": "int64", "values": "L*R*P*V",
+                         "stride": "V", "injective": True, "derived": True},
+            "pc_pP": {"shape": "L*R*P", "dtype": "int64", "values": "P*P",
+                      "stride": "P", "derived": True},
+            "pc_next_p": {"shape": "L*R*P", "dtype": "int32", "values": "port",
+                          "derived": True},
+            "slot_next": {"shape": "L*R*P*V*B", "dtype": "int32", "values": "slot",
+                          "derived": True},
+            "ring_wrap": {"shape": "?", "dtype": "int64", "values": "slot",
+                          "derived": True},
+            "next_code": {"shape": "P*V", "dtype": "int32", "values": "P*V",
+                        "derived": True},
+            "rank_v": {"shape": "V*V", "dtype": "int64", "derived": True},
+            "rank_p": {"shape": "P*P", "dtype": "int64", "derived": True},
+            "rank_code": {"shape": "P*V*P*V", "dtype": "int64", "derived": True},
+            "xy_route": {"shape": "R*R", "dtype": "int8", "values": "port",
+                         "derived": True},
+            # derived and dynamic: the output cell an active input VC holds
+            "held": {"shape": "L*R*P*V", "dtype": "int64", "values": "L*R*P*V",
+                     "injective": True, "derived": True},
+            # scatter-min scratch
+            "arb_cell": {"shape": "L*R*P*V", "dtype": "int64", "derived": True},
+            "arb_pc": {"shape": "L*R*P", "dtype": "int64", "derived": True},
         },
+        # a kernel parameter that is not state: ``occ`` is the step's one
+        # occupancy scan, a duplicate-free ascending flat cell index
+        "params": {"occ": "L*R*P*V"},
         # a domain with ``dim`` holds values in ``[0, dim)`` (or the -1
         # sentinel): ``flat*dim + value`` stays inside the flat family
         "domains": {
@@ -148,6 +214,32 @@ SHAPE_CONTRACT = {
         },
     },
 }
+
+
+@lru_cache(maxsize=None)
+def _succ(n: int) -> np.ndarray:
+    """``_succ(n)[i] == (i + 1) % n`` in pointer dtype: one gather advances
+    a round-robin pointer (or ring index) with no modulo and no cast."""
+    table = ((np.arange(n) + 1) % n).astype(PTR_DTYPE)
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=None)
+def _rank(n: int) -> np.ndarray:
+    """``_rank(n)[i*n + ptr] == (i - ptr) % n``: the round-robin distance of
+    candidate ``i`` from its bucket's pointer, as the scatter-min score
+    (int64, the scratch's dtype: a mixed-dtype ``minimum.at`` is 8x slower)."""
+    i = np.arange(n, dtype=np.int64)
+    table = ((i[:, None] - i[None, :]) % n).reshape(-1)
+    table.flags.writeable = False
+    return table
+
+
+#: XY output port by ``sign(dx) * 3 + sign(dy) + 4``: X first, then Y
+_XY_PORT = np.array(
+    [WEST, WEST, WEST, SOUTH, LOCAL, NORTH, EAST, EAST, EAST], dtype=PORT_DTYPE
+)
 
 
 def mesh_geometry(topo: Topology):
@@ -219,10 +311,12 @@ class BatchState:
 
     # --- packet table (global across lanes; grows) ----------------------
     pkt_dst_router: np.ndarray = field(default=None)  # [N]
+    #: packet by table index; a slot is released (``None``) at ejection and
+    #: never reused, so memory follows packets in flight, not history
     pkt_objects: List = field(default_factory=list)
 
     # --- derived (rebuilt, never pickled): 1-d views of the arrays above,
-    # --- lane-tiled geometry, arbitration scratch ------------------------
+    # --- geometry tables, ``held``, per-step scratch ----------------------
     buf_pkt_f: np.ndarray = field(init=False, repr=False)  # [L*R*P*V*B]
     buf_seq_f: np.ndarray = field(init=False, repr=False)
     buf_flags_f: np.ndarray = field(init=False, repr=False)
@@ -238,7 +332,32 @@ class BatchState:
     sa_in_ptr_f: np.ndarray = field(init=False, repr=False)  # [L*R*P]
     sa_out_ptr_f: np.ndarray = field(init=False, repr=False)
     ovc_owner_pv: np.ndarray = field(init=False, repr=False)  # [L*R*P,V] one port's VCs
-    nbr_pc: np.ndarray = field(init=False, repr=False)  # [L*R*P] see _bind_derived
+    # tables over the flat cell index [L*R*P*V] (see _bind_derived)
+    cell_pc: np.ndarray = field(init=False, repr=False)  # port cell, cell // V
+    cell_pc0: np.ndarray = field(init=False, repr=False)  # router's first port cell
+    cell_slot0: np.ndarray = field(init=False, repr=False)  # cell * B
+    cell_rR: np.ndarray = field(init=False, repr=False)  # r * R, row of xy_route
+    cell_vV: np.ndarray = field(init=False, repr=False)  # v * V, row of rank_v
+    cell_code: np.ndarray = field(init=False, repr=False)  # in_port * V + in_vc
+    cell_codePV: np.ndarray = field(init=False, repr=False)  # code * P*V, row of rank_code
+    cell_next_v: np.ndarray = field(init=False, repr=False)  # (v + 1) % V
+    cell_lane: np.ndarray = field(init=False, repr=False)
+    cell_linked: np.ndarray = field(init=False, repr=False)  # bool: nbr_cell >= 0
+    nbr_cell: np.ndarray = field(init=False, repr=False)  # same VC across the link
+    # tables over the port cell [L*R*P]
+    pc_cell0: np.ndarray = field(init=False, repr=False)  # pc * V
+    pc_pP: np.ndarray = field(init=False, repr=False)  # p * P, row of rank_p
+    pc_next_p: np.ndarray = field(init=False, repr=False)  # (p + 1) % P
+    # lane-independent tables
+    slot_next: np.ndarray = field(init=False, repr=False)  # [L*R*P*V*B] (slot + 1) % B
+    ring_wrap: np.ndarray = field(init=False, repr=False)  # [2B] i % B
+    next_code: np.ndarray = field(init=False, repr=False)  # [P*V] (code + 1) % (P*V)
+    rank_v: np.ndarray = field(init=False, repr=False)  # [V*V] see _rank
+    rank_p: np.ndarray = field(init=False, repr=False)  # [P*P]
+    rank_code: np.ndarray = field(init=False, repr=False)  # [P*V*P*V]
+    xy_route: np.ndarray = field(init=False, repr=False)  # [R*R] XY port of (r, dst)
+    # dynamic, and scratch
+    held: np.ndarray = field(init=False, repr=False)  # [L*R*P*V] output cell held, -1 none
     arb_cell: np.ndarray = field(init=False, repr=False)  # [L*R*P*V] scatter-min scratch
     arb_pc: np.ndarray = field(init=False, repr=False)  # [L*R*P] scatter-min scratch
 
@@ -246,22 +365,58 @@ class BatchState:
         self._bind_derived()
 
     def _bind_derived(self) -> None:
-        """(Re)build the 1-d views, ``nbr_pc`` and the arbitration scratch."""
+        """(Re)build the 1-d views, the geometry tables, ``held`` and the scratch."""
+        L, R, P, V, B = self.L, self.R, self.P, self.V, self.B
+        PV = P * V
         for name in _DERIVED:
             if name.endswith("_f"):
                 setattr(self, name, getattr(self, name[:-2]).reshape(-1))
-        self.ovc_owner_pv = self.ovc_owner.reshape(-1, self.V)
-        # Port cell of the input port a flit leaving through (r, p)
-        # arrives at, same lane; -1 at mesh edges and the local port.
-        # It is its own inverse, so it also maps an input port to the
-        # upstream output port its credits return to.
-        pc = (self.nbr_router.astype(np.int64) * self.P + self.nbr_port).reshape(-1)
-        lane_base = np.arange(self.L, dtype=np.int64)[:, None] * (self.R * self.P)
-        self.nbr_pc = np.where(pc >= 0, lane_base + pc, -1).reshape(-1)
+        self.ovc_owner_pv = self.ovc_owner.reshape(-1, V)
+
+        cell = np.arange(L * R * PV, dtype=np.int64)
+        v, code = cell % V, cell % PV
+        self.cell_pc = cell // V
+        self.cell_pc0 = cell // PV * P
+        self.cell_slot0 = cell * B
+        self.cell_rR = cell // PV % R * R
+        self.cell_vV = v * V
+        self.cell_code = code
+        self.cell_codePV = code * PV
+        self.cell_next_v = _succ(V)[v]
+        self.cell_lane = cell // (R * PV)
+        pc = np.arange(L * R * P, dtype=np.int64)
+        p = pc % P
+        self.pc_cell0 = pc * V
+        self.pc_pP = p * P
+        self.pc_next_p = _succ(P)[p]
+        self.slot_next = np.tile(_succ(B), L * R * PV)
+        self.ring_wrap = np.arange(2 * B, dtype=np.int64) % B
+        self.next_code = _succ(PV)
+        self.rank_v, self.rank_p, self.rank_code = _rank(V), _rank(P), _rank(PV)
+        dx = np.sign(self.x[None, :] - self.x[:, None])  # [r, dst]
+        dy = np.sign(self.y[None, :] - self.y[:, None])
+        self.xy_route = _XY_PORT[dx * 3 + dy + 4].reshape(-1)
+
+        # The port cell a flit leaving through (r, p) arrives at, same lane
+        # (-1 at mesh edges and the local port), is its own inverse; so
+        # ``nbr_cell`` maps an output cell to the downstream input VC it
+        # feeds *and* an input cell to the upstream output VC its credits
+        # return to.
+        far = (self.nbr_router.astype(np.int64) * P + self.nbr_port).reshape(-1)
+        lane_base = np.arange(L, dtype=np.int64)[:, None] * (R * P)
+        far = np.where(far >= 0, lane_base + far, -1).reshape(-1)[self.cell_pc]
+        self.cell_linked = far >= 0
+        self.nbr_cell = np.where(self.cell_linked, far * V + v, -1)
+
+        self.held = np.where(
+            self.active_f,
+            (self.cell_pc0 + self.route_port_f) * V + self.out_vc_f,
+            -1,
+        )
         # BIG everywhere between kernel calls: each arbitration re-arms
         # only the keys it touched.
-        self.arb_cell = np.full(self.L * self.R * self.P * self.V, BIG, dtype=np.int64)
-        self.arb_pc = np.full(self.L * self.R * self.P, BIG, dtype=np.int64)
+        self.arb_cell = np.full(L * R * PV, BIG, dtype=np.int64)
+        self.arb_pc = np.full(L * R * P, BIG, dtype=np.int64)
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
@@ -287,7 +442,8 @@ class BatchState:
         """Add a packet to the global table; returns its index."""
         idx = len(self.pkt_objects)
         self.pkt_objects.append(packet)
-        self.grow_packet_table(idx + 1)
+        if idx >= len(self.pkt_dst_router):
+            self.grow_packet_table(idx + 1)
         self.pkt_dst_router[idx] = self.topo.node_router(packet.dst)
         return idx
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -51,14 +51,27 @@ __all__ = ["BatchedSimdNetwork", "SimdBatch", "SimdNetwork"]
 class _Source:
     """Per-router injection state (mirrors the OO network's source queue)."""
 
-    __slots__ = ("pending", "flits_left", "pkt_index", "size", "vc")
+    __slots__ = ("pending", "flits_left", "pkt_index", "size", "cell")
 
     def __init__(self) -> None:
         self.pending: Deque[Packet] = deque()
         self.flits_left = 0
         self.pkt_index = -1
         self.size = 0
-        self.vc = -1
+        #: flat cell of the local input VC the packet in progress enters by
+        self.cell = -1
+
+    def __setstate__(self, state: Tuple[None, Dict[str, Any]]) -> None:
+        slots = dict(state[1])
+        # A checkpoint written by ``batched-simd-2`` carries the VC within
+        # the local port instead; only the lane view knows where that port's
+        # cells start, so it is parked as ``-2 - vc`` for
+        # ``BatchedSimdNetwork.__setstate__`` to rebase.
+        vc = slots.pop("vc", None)
+        if vc is not None:
+            slots["cell"] = -2 - vc if vc >= 0 else -1
+        for name, value in slots.items():
+            setattr(self, name, value)
 
 
 class SimdBatch:
@@ -94,24 +107,31 @@ class SimdBatch:
     def step(self) -> None:
         """Advance every lane one cycle with one kernel invocation."""
         now = self.cycle
-        self._apply_credits(now)
-        for view in self._lane_views:
-            view._admit(now)
-        for view in self._lane_views:
-            view._inject_flits(now)
+        views = self._lane_views
+        pending = self._pending_credits
+        if pending and pending[0][0] <= now:
+            self._apply_credits(now)
+        for view in views:
+            if view._future and view._future[0][0] <= now:
+                view._admit(now)
+        for view in views:
+            if view._active_sources:
+                view._inject_flits(now)
         st = self.state
-        route_compute(st)
-        allocated = vc_allocate(st)
+        # The one occupancy scan of the cycle (ascending flat cells):
+        # nothing changes ``count`` between here and the pops at the end
+        # of ``switch_traverse``.
+        occ = (st.count_f > 0).nonzero()[0]
+        route_compute(st, occ)
+        allocated = vc_allocate(st, occ)
         granted, moved, credit_cells = switch_traverse(
-            st, now, self._dispatch_eject, self._hops
+            st, occ, now, self._dispatch_eject, self._hops
         )
         self.kernel_launches += 4
         if len(credit_cells):
-            self._pending_credits.append(
-                (now + self.config.credit_delay, credit_cells)
-            )
+            pending.append((now + self.config.credit_delay, credit_cells))
         for view, a, g, m in zip(
-            self._lane_views,
+            views,
             self._per_lane(allocated),
             self._per_lane(granted),
             self._per_lane(moved),
@@ -122,9 +142,10 @@ class SimdBatch:
             view.buffer_writes += m
             if g:
                 view._last_progress = now
-            view._check_watchdog(now)
-        self.cycle += 1
-        for view in self._lane_views:
+            else:  # the watchdog cannot fire in a cycle that made progress
+                view._check_watchdog(now)
+        self.cycle = now + 1
+        for view in views:
             view.stats.cycles = self.cycle
 
     def run(self, cycles: int) -> None:
@@ -139,22 +160,22 @@ class SimdBatch:
             # credit per upstream output port: a batch's cells never repeat.
             self.state.credits_f[cells] += 1
 
-    def _lane_of(self, cells: np.ndarray) -> np.ndarray:
-        """The lane each flat cell index lies in."""
-        st = self.state
-        return cells // (st.R * st.P * st.V)
-
     def _per_lane(self, cells: np.ndarray) -> List[int]:
         """How many of the flat ``cells`` lie in each lane."""
         if self.lanes == 1:
             return [len(cells)]
-        return np.bincount(self._lane_of(cells), minlength=self.lanes).tolist()
+        return np.bincount(self.state.cell_lane[cells], minlength=self.lanes).tolist()
 
     def _dispatch_eject(self, cells: np.ndarray, pkt_idx: np.ndarray) -> None:
         """Hand each ejected tail flit's packet to its lane's view."""
         views = self._lane_views
-        for lane, idx in zip(self._lane_of(cells).tolist(), pkt_idx.tolist()):
-            views[lane]._eject_packet(idx)
+        when = self.cycle + self.config.ejection_delay
+        for lane, idx, hops in zip(
+            self.state.cell_lane[cells].tolist(),
+            pkt_idx.tolist(),
+            self._hops[pkt_idx].tolist(),
+        ):
+            views[lane]._eject_packet(idx, hops, when)
 
     def grow_hops(self, needed: int) -> None:
         if needed <= len(self._hops):
@@ -199,6 +220,19 @@ class BatchedSimdNetwork:
         self.switch_grants = 0
         self.link_traversals = 0
         self.va_grants = 0
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        # Rebase what ``_Source.__setstate__`` parked (uses only this view's
+        # own fields: the batch may not be restored yet).
+        router_cells = self.topo.radix * self.config.num_vcs
+        local0 = (
+            self.lane_index * self.topo.num_routers * router_cells
+            + LOCAL * self.config.num_vcs
+        )
+        for rid, source in enumerate(self._sources):
+            if source.cell < -1:
+                source.cell = local0 + rid * router_cells + (-2 - source.cell)
 
     # ------------------------------------------------------------------
     # Driving (same surface as CycleNetwork)
@@ -262,74 +296,82 @@ class BatchedSimdNetwork:
     def _inject_flits(self, now: int) -> None:
         st = self.batch.state
         count, head = st.count_f, st.head_f
+        buf_pkt, buf_seq = st.buf_pkt_f, st.buf_seq_f
+        buf_flags, buf_ready = st.buf_flags_f, st.buf_ready_f
+        sources = self._sources
         B = st.B
         router_cells = st.P * st.V
-        lane_router = self.lane_index * st.R
+        local0 = self.lane_index * st.R * router_cells + LOCAL * st.V
         ready = now + self.config.router_delay
+        written = 0
         done = []
         for rid in self._active_sources:
-            source = self._sources[rid]
-            # first flat cell of this router's local input port
-            local = (lane_router + rid) * router_cells + LOCAL * st.V
-            if source.flits_left == 0:
+            source = sources[rid]
+            left = source.flits_left
+            if left == 0:
                 if not source.pending:
                     done.append(rid)
                     continue
-                vc = self._free_local_vc(local)
-                if vc is None:
+                # first flat cell of this router's local input port
+                cell = self._free_local_vc(local0 + rid * router_cells)
+                if cell < 0:
                     continue
                 packet = source.pending.popleft()
                 packet.network_entry_cycle = now
                 idx = st.register_packet(packet)
-                self.batch.grow_hops(idx + 1)
+                if idx >= len(self.batch._hops):
+                    self.batch.grow_hops(idx + 1)
                 source.pkt_index = idx
-                source.size = packet.size_flits
-                source.flits_left = packet.size_flits
-                source.vc = vc
-            cell = local + source.vc
+                source.size = left = packet.size_flits
+                source.cell = cell
+            cell = source.cell
             occupancy = count.item(cell)
             if occupancy >= B:
+                source.flits_left = left
                 continue
-            seq = source.size - source.flits_left
-            flags = (FLAG_HEAD if seq == 0 else 0) | (
-                FLAG_TAIL if source.flits_left == 1 else 0
-            )
+            seq = source.size - left
             slot = cell * B + (head.item(cell) + occupancy) % B
-            st.buf_pkt_f[slot] = source.pkt_index
-            st.buf_seq_f[slot] = seq
-            st.buf_flags_f[slot] = flags
-            st.buf_ready_f[slot] = ready
+            buf_pkt[slot] = source.pkt_index
+            buf_seq[slot] = seq
+            buf_flags[slot] = (FLAG_HEAD if seq == 0 else 0) | (
+                FLAG_TAIL if left == 1 else 0
+            )
+            buf_ready[slot] = ready
             count[cell] = occupancy + 1
-            self.buffer_writes += 1
-            source.flits_left -= 1
-            if source.flits_left == 0:
-                source.vc = -1
+            written += 1
+            source.flits_left = left = left - 1
+            if left == 0:
+                source.cell = -1
                 if not source.pending:
                     done.append(rid)
+        self.buffer_writes += written
         for rid in done:
             self._active_sources.pop(rid, None)
 
-    def _free_local_vc(self, local: int) -> Optional[int]:
-        """First idle VC of the local input port whose flat cells start at ``local``."""
+    def _free_local_vc(self, local: int) -> int:
+        """Flat cell of the first idle VC of the local input port whose
+        cells start at ``local``, or -1."""
         st = self.batch.state
-        for vc in range(st.V):
-            cell = local + vc
+        active, route_port, count = st.active_f, st.route_port_f, st.count_f
+        for cell in range(local, local + st.V):
             if (
-                not st.active_f[cell]
-                and st.route_port_f[cell] < 0
-                and st.count_f[cell] == 0
+                not active.item(cell)
+                and route_port.item(cell) < 0
+                and count.item(cell) == 0
             ):
-                return vc
-        return None
+                return cell
+        return -1
 
-    def _eject_packet(self, idx: int) -> None:
-        packet = self.batch.state.pkt_objects[idx]
-        packet.eject_cycle = self.cycle + self.config.ejection_delay
-        packet.hops = int(self.batch._hops[idx])
+    def _eject_packet(self, idx: int, hops: int, when: int) -> None:
+        objects = self.batch.state.pkt_objects
+        packet = objects[idx]
+        objects[idx] = None  # the table holds packets in flight only
+        packet.eject_cycle = when
+        packet.hops = hops
         self.stats.record_ejection(packet)
         self._delivered.append(packet)
         if self.on_eject is not None:
-            self.on_eject(packet, packet.eject_cycle)
+            self.on_eject(packet, when)
 
     def _check_watchdog(self, now: int) -> None:
         limit = self.config.watchdog_cycles

@@ -357,6 +357,10 @@ def _lint_main(argv: Optional[List[str]] = None) -> int:
                 f"({stats.get('dtype_bounds', 0)} bounded dtype(s))"
             )
             print(
+                f"  derived tables   : {stats.get('derived_tables', 0)} declared, "
+                f"{stats.get('undeclared_fields', 0)} undeclared field(s) indexed"
+            )
+            print(
                 f"  kernel cache     : "
                 f"{stats.get('kernel_cache_hits', 0)} hit(s), "
                 f"{stats.get('kernel_cache_misses', 0)} miss(es)"
@@ -370,7 +374,10 @@ def _lint_main(argv: Optional[List[str]] = None) -> int:
             print(f"    {rule:<24} {stats[rule_key]}")
         if not any(k.startswith("rule:") for k in stats):
             print("    (none)")
-        return 0
+        # statistics report, they do not gate -- except on a kernel that
+        # indexes state its contract does not declare: the numbers above
+        # would then describe an analysis with a hole in it
+        return 1 if stats.get("undeclared_fields") else 0
 
     if args.format == "sarif":
         print(render_sarif(report.violations, prefix=args.prefix))

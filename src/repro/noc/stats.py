@@ -64,17 +64,19 @@ class NetworkStats:
         self.injected_flits += packet.size_flits
 
     def record_ejection(self, packet: Packet) -> None:
+        size, latency = packet.size_flits, packet.latency
         self.ejected_packets += 1
-        self.ejected_flits += packet.size_flits
+        self.ejected_flits += size
         cls = self.per_class[packet.msg_class]
         cls.packets += 1
-        cls.flits += packet.size_flits
-        cls.total_latency += packet.latency
+        cls.flits += size
+        cls.total_latency += latency
         cls.total_hops += packet.hops
-        self.latencies.append(packet.latency)
+        self.latencies.append(latency)
         if packet.network_entry_cycle is not None:
-            cls.total_network_latency += packet.network_latency
-            self.network_latencies.append(packet.network_latency)
+            network_latency = packet.network_latency
+            cls.total_network_latency += network_latency
+            self.network_latencies.append(network_latency)
 
     # ------------------------------------------------------------------
     @property

@@ -72,6 +72,27 @@ class TestKernelsCli:
         assert "kernel modules" in out
         assert "shape contracts" in out
         assert "kernel cache" in out
+        assert "derived tables   : 24 declared, 0 undeclared field(s) indexed" in out
+
+    def test_an_unsighted_table_fails_the_lint_and_the_stats_step(
+        self, tmp_path, capsys
+    ):
+        # a kernel starts indexing a table nobody declared: both steps of
+        # the lint-kernels CI job (the gate and --stats) must go red
+        root = tmp_path / "tree"
+        (root / "engine").mkdir(parents=True)
+        for name in ("layout.py", "kernels.py"):
+            shutil.copy(PACKAGE / "engine" / name, root / "engine" / name)
+        kernels = root / "engine" / "kernels.py"
+        source = kernels.read_text()
+        assert source.count("st.nbr_cell[credit]") == 1
+        kernels.write_text(source.replace("st.nbr_cell[credit]", "st.upstream[credit]"))
+        argv = ["lint", "--kernels", "--path", str(root), *_cache_args(tmp_path)]
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert "SIM305" in out and "'upstream' is indexed" in out
+        assert main([*argv, "--stats"]) == 1
+        assert "1 undeclared field(s) indexed" in capsys.readouterr().out
 
     def test_deep_and_kernels_compose(self, tmp_path, capsys):
         # the merged run must keep the tree clean and retain SIM3xx in

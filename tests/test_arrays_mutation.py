@@ -26,7 +26,7 @@ MUTATIONS = {
         # reduce the VC-allocation bucket key modulo one lane's cells, so
         # grants from different lanes collide in lane 0's buckets
         "np.minimum.at(best, target, rank)",
-        "np.minimum.at(best, target % (st.R * PV), rank)",
+        "np.minimum.at(best, target % (st.R * st.P * st.V), rank)",
     ),
     "owner-cast-deannotated": (
         "dtype-narrowing",
@@ -44,22 +44,29 @@ MUTATIONS = {
     "lane-loop": (
         "lane-loop",
         # serialize the lane axis with a python-level loop
-        "    PV = st.P * st.V\n",
-        "    PV = st.P * st.V\n"
+        "    best = st.arb_cell\n",
+        "    best = st.arb_cell\n"
         "    for _lane in range(st.L):\n"
         "        pass\n",
     ),
     "flat-view-indexed-2d": (
         "shape-contract",
         # index the 1-d buffer view as if it still had a slot axis
-        "st.buf_pkt_f[cell * st.B + st.head_f[cell]]",
-        "st.buf_pkt_f[cell, st.head_f[cell]]",
+        "pkt = st.buf_pkt_f[st.cell_slot0[cell] + st.head_f[cell]]",
+        "pkt = st.buf_pkt_f[cell, st.head_f[cell]]",
     ),
     "wrong-flat-family": (
         "shape-contract",
         # forget that the pointer views are per port, not per VC
-        "st.sa_in_ptr_f[in_pc] = _succ(V)[v]",
-        "st.sa_in_ptr_f[cell] = _succ(V)[v]",
+        "st.sa_in_ptr_f[in_pc] = st.cell_next_v[cell]",
+        "st.sa_in_ptr_f[cell] = st.cell_next_v[cell]",
+    ),
+    "wrong-table": (
+        "shape-contract",
+        # reach the per-port pointer view through the cell -> v*V table
+        # instead of cell -> port cell: a family the view is not laid out in
+        "st.sa_in_ptr_f[in_pc] = st.cell_next_v[cell]",
+        "st.sa_in_ptr_f[st.cell_vV[cell]] = st.cell_next_v[cell]",
     ),
 }
 

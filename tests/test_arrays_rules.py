@@ -67,6 +67,50 @@ class TestMirroredFixtures:
         assert any("helper" in src[line - 2] for line in lines)
 
 
+class TestIndexTables:
+    """Declared geometry tables: ``st.<table>[flat]`` is a flat index of the
+    family the table's ``values`` names."""
+
+    def test_misused_tables_fire(self, tmp_path):
+        violations = _lint(FIXTURES / "tables_pos.py", cache_dir=tmp_path)
+        src = (FIXTURES / "tables_pos.py").read_text().splitlines()
+        found = sorted((src[v.line - 1].split("# ")[1].split(":")[0], v.rule)
+                       for v in violations)
+        assert found == [
+            ("SIM301", "lane-isolation"),
+            ("SIM303", "index-aliasing"),
+            ("SIM305", "shape-contract"),
+            ("SIM305", "shape-contract"),
+            ("SIM305", "shape-contract"),
+        ]
+
+    def test_undeclared_field_names_the_field(self, tmp_path):
+        violations = _lint(FIXTURES / "tables_pos.py", cache_dir=tmp_path)
+        (undeclared,) = [v for v in violations if "undeclared-field" in v.context]
+        assert "'cell_twin'" in undeclared.message
+        report = kernels_lint_paths([FIXTURES / "tables_pos.py"], OPEN_CONFIG,
+                                    cache_dir=tmp_path)
+        assert report.stats["undeclared_fields"] == 1
+        assert report.stats["derived_tables"] == 3
+
+    def test_tables_used_in_their_family_are_clean(self, tmp_path):
+        assert _lint(FIXTURES / "tables_neg.py", cache_dir=tmp_path) == []
+
+    def test_contract_carries_stride_injective_and_params(self):
+        registry = build_registry([(FIXTURES / "tables_neg.py", "tables_neg.py")])
+        contract = registry.contracts["State"]
+        slot0 = contract.fields["cell_slot0"]
+        assert (slot0.stride, slot0.injective, slot0.derived) == (("B",), True, True)
+        assert contract.is_index_table(slot0)
+        assert not contract.is_index_table(contract.fields["head_f"])  # a named domain
+        assert not contract.fields["cell_lr"].injective
+        assert contract.params == {"occ": "L*R*V"}
+        edited = (FIXTURES / "tables_neg.py").read_text().replace(
+            '"stride": "B", "injective": True', '"stride": "B"')
+        other, _ = harvest_module(edited)
+        assert other["State"] != contract
+
+
 class TestContracts:
     def test_registry_harvests_fixture_contract(self):
         registry = build_registry(

@@ -37,7 +37,7 @@ def _document(quick_speedup=4.0, full_speedup=None, wall=0.5):
         }
     return {
         "schema": BENCH_SCHEMA_VERSION,
-        "kernel_version": "batched-simd-2",
+        "kernel_version": "batched-simd-3",
         "pinned_seed": 42,
         "host": {"python": "3.11.0", "machine": "x86_64"},
         "profiles": profiles,

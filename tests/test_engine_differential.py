@@ -215,13 +215,30 @@ def test_fixture_covers_the_grid(recorded):
     assert FIXTURE.stat().st_size <= 64 * 1024
 
 
+def held_from_wormhole_state(state) -> np.ndarray:
+    """What ``held`` must be: the output cell ``(lane, r, route_port,
+    out_vc)`` of every active input VC, -1 elsewhere."""
+    first_port_cell = np.arange(state.L * state.R)[:, None, None] * state.P
+    held = (first_port_cell + state.route_port.reshape(-1, state.P, state.V)) * state.V
+    held += state.out_vc.reshape(-1, state.P, state.V)
+    return np.where(state.active.reshape(-1), held.reshape(-1), -1)
+
+
 @pytest.mark.parametrize("case", range(len(GRID)))
 def test_every_cycle_matches_the_oracle(case, recorded):
     dims, config, schedules, label = _case(case)
     batch = SimdBatch(Mesh(*dims), config, lanes=len(schedules))
     views = [batch.lane(lane) for lane in range(batch.lanes)]
     expect = recorded["chains"][case]
-    got = drive(case, views, batch.step, expect)
+
+    def step():
+        batch.step()
+        # the one derived array the kernels maintain themselves
+        assert np.array_equal(batch.state.held, held_from_wormhole_state(batch.state)), (
+            f"{label}: held left (route_port, out_vc) in cycle {batch.cycle - 1}"
+        )
+
+    got = drive(case, views, step, expect)
     for lane, (mine, theirs) in enumerate(zip(got, expect)):
         assert mine == theirs, f"{label} lane {lane}"
 
