@@ -15,7 +15,11 @@ full service contract:
    still queued; a restart on the same ``--db`` must complete every
    accepted job exactly once, and previously cached payloads must come
    back byte-identical.
-4. **Kernel batching** — four same-shape engine-aware jobs buffered
+4. **Standard clients** — ``urllib.request`` reads ``/healthz`` and
+   ``/metrics`` and ``http.client`` submits and fetches over one
+   keep-alive connection: ``ServeClient`` speaks the daemon's own
+   framing, so it no longer shows that a stock HTTP client is served.
+5. **Kernel batching** — four same-shape engine-aware jobs buffered
    behind a busy single worker must dispatch as ONE batched engine
    invocation (asserted via the ``engine_batch_size`` histogram), with
    per-member payloads byte-identical to individual runs.
@@ -181,6 +185,39 @@ def phase_concurrency(port: int) -> str:
     return client.result_text(ack["job_id"])
 
 
+def phase_stdlib_clients(port: int, cached_text: str) -> None:
+    """The daemon as the standard library's HTTP clients see it."""
+    step("phase 1b: urllib.request + http.client against the daemon")
+    import http.client
+    import urllib.request
+
+    base = f"http://127.0.0.1:{port}"
+    with urllib.request.urlopen(f"{base}/healthz", timeout=30) as response:
+        if response.status != 200 or json.loads(response.read()).get("ok") is not True:
+            fail("urllib: /healthz did not answer ok")
+    with urllib.request.urlopen(f"{base}/metrics", timeout=30) as response:
+        if b"repro_serve_requests_total" not in response.read():
+            fail("urllib: /metrics is missing the request counter")
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+    try:
+        body = json.dumps({"eid": "demo", "point_index": 0, "quick": True})
+        conn.request("POST", "/api/v1/jobs", body=body,
+                     headers={"Content-Type": "application/json"})
+        response = conn.getresponse()
+        ack = json.loads(response.read())
+        if response.status != 200 or ack.get("cached") is not True:
+            fail(f"http.client: submit answered {response.status} {ack}")
+        if response.will_close:
+            fail("http.client: the daemon did not keep the connection alive")
+        conn.request("GET", f"/api/v1/jobs/{ack['job_id']}/result")
+        response = conn.getresponse()
+        if response.read().decode("utf-8") != cached_text:
+            fail("http.client: payload differs from ServeClient's")
+    finally:
+        conn.close()
+    step("  ok: stock clients are served, keep-alive included")
+
+
 def phase_equivalence(port: int) -> None:
     """Served E3/E5 results == direct runs, modulo host_time_columns."""
     step("phase 2: served E3/E5 vs direct sequential runs")
@@ -295,6 +332,7 @@ def main() -> int:
     daemon = Daemon(db)
     step(f"daemon 1 up on port {daemon.port} (db={db})")
     cached_text = phase_concurrency(daemon.port)
+    phase_stdlib_clients(daemon.port, cached_text)
     phase_equivalence(daemon.port)
 
     job_ids = phase_drain_load(daemon.port)

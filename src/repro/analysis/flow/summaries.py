@@ -60,7 +60,7 @@ from ..rules import (
 __all__ = ["extract_module", "FACTS_VERSION"]
 
 #: bump when the facts schema or extraction logic changes (cache key part)
-FACTS_VERSION = 1
+FACTS_VERSION = 2
 
 CLEAN: Dict[str, Any] = {"k": "clean"}
 
@@ -96,6 +96,10 @@ _RESOURCE_FACTORIES = {
     "socket.socket": "socket",
     "socket.create_connection": "socket",
     "http.client.HTTPConnection": "HTTP connection",
+    # the tree's own client socket (serve/client.py); relative imports
+    # resolve to the bare class name
+    "repro.serve.client.Connection": "HTTP connection",
+    "Connection": "HTTP connection",
     "subprocess.Popen": "child process",
     "tempfile.NamedTemporaryFile": "temp file",
     "tempfile.TemporaryFile": "temp file",

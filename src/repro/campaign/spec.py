@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigError
@@ -304,9 +305,14 @@ class JobSpec:
     seed: int
     replicate: int = 0
 
-    @property
+    @cached_property
     def job_id(self) -> str:
-        """Content hash of everything that determines this job's result."""
+        """Content hash of everything that determines this job's result.
+
+        Hashed once per instance (the fields are frozen; ``cached_property``
+        writes the instance ``__dict__`` directly, which a frozen dataclass
+        still has) — the scheduler, queue and router read it repeatedly.
+        """
         return _content_hash(self.to_dict())
 
     def to_dict(self) -> dict:

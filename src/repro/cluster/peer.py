@@ -25,12 +25,13 @@ byte-identical.
 
 from __future__ import annotations
 
-import http.client
 import json
 from typing import List, Optional
 
 from ..campaign.spec import JobSpec
 from ..errors import ClusterError
+from ..serve.client import Connection
+from ..serve.protocol import render_request
 from .membership import NodeInfo
 
 __all__ = ["PeerClient", "PeerResult"]
@@ -85,7 +86,8 @@ class PeerResult:
 
 
 class PeerClient:
-    """Short-timeout, no-retry HTTP client for cluster-internal RPC.
+    """Short-timeout, no-retry, no-pooling client for cluster-internal RPC
+    (one fresh :class:`~repro.serve.client.Connection` per call).
 
     Args:
         timeout_s: per-call socket budget.  Deliberately short — every
@@ -104,20 +106,16 @@ class PeerClient:
     ) -> tuple:
         """One request/response against ``peer``; returns (status, dict)."""
         payload = None if body is None else json.dumps(body).encode("utf-8")
-        conn = http.client.HTTPConnection(
-            peer.host, peer.port, timeout=self.timeout_s
-        )
         try:
-            headers = {"Content-Type": "application/json"} if payload else {}
-            conn.request(method, path, body=payload, headers=headers)
-            response = conn.getresponse()
-            raw = response.read()
-        except (OSError, http.client.HTTPException) as exc:
+            with Connection((peer.host, peer.port), self.timeout_s) as conn:
+                response = conn.exchange(
+                    render_request(method, path, peer.address, payload)
+                )
+        except OSError as exc:
             raise ClusterError(
                 f"peer {peer.node_id}@{peer.address} unreachable: {exc}"
             ) from exc
-        finally:
-            conn.close()
+        raw = response.body
         try:
             decoded = json.loads(raw.decode("utf-8")) if raw else {}
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:

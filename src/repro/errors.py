@@ -86,6 +86,19 @@ class ServeError(ReproError):
         self.status = status
 
 
+class FramingError(ConfigError):
+    """An HTTP message does not fit the wire subset ``repro.serve`` speaks.
+
+    ``status`` is what the daemon answers before closing the connection:
+    400 for malformed framing, 413 for a body past the size limit, 431
+    for a head past it.  A client treats one as a transport failure.
+    """
+
+    def __init__(self, message: str, status: int = 400) -> None:
+        super().__init__(message)
+        self.status = status
+
+
 class BackpressureError(ServeError):
     """The daemon refused a submission because its queue is full.
 

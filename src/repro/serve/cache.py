@@ -81,19 +81,30 @@ class ResultCache:
         The text is exactly what :meth:`commit` stored — byte-identical
         replay is the whole contract.
         """
+        return self.fetch(job_id)[0]
+
+    def fetch(self, job_id: str) -> Tuple[Optional[str], Optional[JobRow]]:
+        """``(payload text, store row)`` for ``job_id`` in at most one store read.
+
+        An id in the memory tier answers ``(text, None)`` with no read at
+        all.  Otherwise the one row read either carries the payload of a
+        ``done`` job (remembered, returned as the text) or says why there
+        is none: ``(None, row)`` for a job not done, ``(None, None)`` for
+        an unknown id.
+        """
         with self._lock:
             text = self._lru.get(job_id)
             if text is not None:
                 self._lru.move_to_end(job_id)
-                return text
+                return text, None
             try:
                 row = self._store.get_job(job_id)
             except ConfigError:
-                return None
+                return None, None
             if row.status != "done" or row.payload is None:
-                return None
+                return None, row
             self._remember(job_id, row.payload)
-            return row.payload
+            return row.payload, row
 
     def job_row(self, job_id: str) -> Optional[JobRow]:
         """The store row for ``job_id`` (status/attempts/provenance), or None."""

@@ -1,6 +1,7 @@
 """``ServeClient`` — the programmatic face of the serve daemon.
 
-A thin, dependency-free (stdlib ``http.client``) synchronous client.
+A thin, dependency-free synchronous client over plain sockets, speaking
+the wire subset :mod:`repro.serve.protocol` defines for both ends.
 Submissions are plain keyword arguments; the client never computes job
 hashes itself — identity is the daemon's business — but it does surface
 the daemon's backpressure contract as typed exceptions:
@@ -31,22 +32,80 @@ ends up holding one pooled socket per ring node it has spoken to.
 
 from __future__ import annotations
 
-import http.client
 import json
+import socket
 import threading
 import time
 import urllib.parse
 from typing import Any, Dict, Optional, Tuple
 
-from ..errors import BackpressureError, ServeError
+from ..errors import BackpressureError, FramingError, ServeError
 from ..util import Rng, derive_seed
-from .protocol import API_PREFIX, PROTOCOL_VERSION
+from .protocol import (
+    API_PREFIX,
+    PROTOCOL_VERSION,
+    Response,
+    parse_response,
+    render_request,
+)
 
-__all__ = ["ServeClient"]
+__all__ = ["Connection", "ServeClient"]
 
 #: 307 hops followed per logical request before giving up (a routing loop
 #: in the cluster would otherwise bounce a submission forever)
 MAX_REDIRECTS = 4
+
+Target = Tuple[str, int]
+
+
+class Connection:
+    """One TCP connection to a daemon, carrying one exchange at a time.
+
+    ``exchange`` is one ``sendall`` of head and body, then ``recv`` until
+    :func:`parse_response` has a whole message — bounded by the head
+    limit, then by ``Content-Length`` (or the peer's close when there is
+    none); every send and receive is bounded by ``timeout_s``.  Any
+    failure is an ``OSError``: a timeout, a connection closed
+    mid-response, or a response outside the wire subset (malformed head,
+    ``Transfer-Encoding``) — what arrived cannot be trusted, so it is a
+    transport failure, not an answer.  After one, or an answer with
+    ``keep_alive`` False, the connection is spent and must be closed.
+    """
+
+    __slots__ = ("_sock",)
+
+    def __init__(self, target: Target, timeout_s: float) -> None:
+        self._sock = socket.create_connection(target, timeout=timeout_s)
+        # one request is one segment; never hold it back for an earlier ACK
+        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+    def exchange(self, request: bytes) -> Response:
+        sock = self._sock
+        sock.sendall(request)
+        buffer = bytearray()
+        while True:
+            chunk = sock.recv(65536)
+            buffer += chunk
+            try:
+                response = parse_response(buffer, eof=not chunk)
+            except FramingError as exc:
+                raise ConnectionError(f"unusable response: {exc}") from exc
+            if response is not None:
+                return response
+            if not chunk:
+                raise ConnectionResetError(
+                    "connection closed mid-response" if buffer
+                    else "connection closed without a response"
+                )
+
+    def close(self) -> None:
+        self._sock.close()
+
+    def __enter__(self) -> "Connection":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 class ServeClient:
@@ -99,7 +158,7 @@ class ServeClient:
         # pooled connection, so a cluster client holds one socket per
         # node it has talked to.
         self._pool_lock = threading.Lock()
-        self._pool: Dict[Tuple[str, int], http.client.HTTPConnection] = {}
+        self._pool: Dict[Target, Connection] = {}
         #: sockets actually opened (tests assert reuse keeps this at 1)
         self.connections_opened = 0
         #: 307/308 redirects transparently followed
@@ -153,13 +212,14 @@ class ServeClient:
 
     def result_text(self, job_id: str) -> str:
         """The job's payload as verbatim text (byte-identical contract)."""
-        status, _, _, raw = self._request_raw("GET", f"{API_PREFIX}/jobs/{job_id}/result")
-        if status != 200:
-            payload = _parse_json(raw)
+        response = self._request_raw("GET", f"{API_PREFIX}/jobs/{job_id}/result")
+        if response.status != 200:
+            payload = _parse_json(response.body)
             raise ServeError(
-                payload.get("error", f"result fetch failed ({status})"), status=status
+                payload.get("error", f"result fetch failed ({response.status})"),
+                status=response.status,
             )
-        return raw.decode("utf-8")
+        return response.body.decode("utf-8")
 
     def result(self, job_id: str) -> Dict[str, Any]:
         return json.loads(self.result_text(job_id))
@@ -219,10 +279,12 @@ class ServeClient:
         return payload
 
     def metrics_text(self) -> str:
-        status, _, _, raw = self._request_raw("GET", "/metrics")
-        if status != 200:
-            raise ServeError(f"metrics fetch failed ({status})", status=status)
-        return raw.decode("utf-8")
+        response = self._request_raw("GET", "/metrics")
+        if response.status != 200:
+            raise ServeError(
+                f"metrics fetch failed ({response.status})", status=response.status
+            )
+        return response.body.decode("utf-8")
 
     def shutdown(self) -> Dict[str, Any]:
         """Ask the daemon to drain (the remote spelling of SIGTERM)."""
@@ -234,15 +296,15 @@ class ServeClient:
     def _request(
         self, method: str, path: str, body: Optional[dict] = None
     ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
-        status, headers, _, raw = self._request_raw(method, path, body)
-        return status, _parse_json(raw), headers
+        response = self._request_raw(method, path, body)
+        return response.status, _parse_json(response.body), response.headers
 
     def _request_raw(
         self, method: str, path: str, body: Optional[dict] = None
-    ) -> Tuple[int, Dict[str, str], str, bytes]:
+    ) -> Response:
         """One request with transparent transient-failure retry.
 
-        Connection errors and ``429`` sheds consume retry attempts with
+        Transport errors and ``429`` sheds consume retry attempts with
         jittered, capped exponential backoff; any other answer (including
         5xx — the daemon *spoke*, it is not transiently unreachable) is
         returned to the caller as-is.  With ``retries=0`` the first
@@ -252,7 +314,7 @@ class ServeClient:
         while True:
             try:
                 return self._request_once(method, path, body)
-            except (ConnectionError, OSError) as exc:
+            except OSError as exc:  # refused, reset, timed out, unusable answer
                 if attempt >= self.retries:
                     raise ServeError(
                         f"cannot reach serve daemon at {self.host}:{self.port} "
@@ -269,7 +331,7 @@ class ServeClient:
 
     def _request_once(
         self, method: str, path: str, body: Optional[dict] = None
-    ) -> Tuple[int, Dict[str, str], str, bytes]:
+    ) -> Response:
         """One logical request: pooled keep-alive exchange + 307 follow.
 
         A ``307``/``308`` answer with a ``Location`` header (a cluster
@@ -278,14 +340,13 @@ class ServeClient:
         each hop's target keeps its own pooled connection.
         """
         payload = None if body is None else json.dumps(body).encode("utf-8")
-        headers = {"Content-Type": "application/json"} if payload else {}
         target = (self.host, self.port)
         redirects = 0
         while True:
-            result = self._exchange(target, method, path, payload, headers)
-            status, response_headers, _, _ = result
+            response = self._exchange(target, method, path, payload)
+            status = response.status
             if status in (307, 308) and redirects < MAX_REDIRECTS:
-                location = response_headers.get("location")
+                location = response.headers.get("location")
                 if location:
                     target, path = _resolve_redirect(target, location)
                     redirects += 1
@@ -293,20 +354,15 @@ class ServeClient:
                     continue
             if status == 429:
                 try:
-                    retry_after = float(response_headers.get("retry-after", 1.0))
+                    retry_after = float(response.headers.get("retry-after", 1.0))
                 except ValueError:
                     retry_after = 1.0
-                raise _Shed(result, retry_after)
-            return result
+                raise _Shed(response, retry_after)
+            return response
 
     def _exchange(
-        self,
-        target: Tuple[str, int],
-        method: str,
-        path: str,
-        payload: Optional[bytes],
-        headers: Dict[str, str],
-    ) -> Tuple[int, Dict[str, str], str, bytes]:
+        self, target: Target, method: str, path: str, payload: Optional[bytes]
+    ) -> Response:
         """One HTTP exchange against ``target`` over a pooled connection.
 
         A reused keep-alive socket may have been closed server-side
@@ -315,37 +371,33 @@ class ServeClient:
         transient-retry budget — a stale socket is bookkeeping, not an
         unreachable daemon.
         """
-        for fresh in (False, True):
-            conn = None if fresh else self._checkout(target)
-            reused = conn is not None
-            if conn is None:
-                conn = http.client.HTTPConnection(
-                    target[0], target[1], timeout=self.timeout_s
-                )
-                self.connections_opened += 1
+        request = render_request(method, path, f"{target[0]}:{target[1]}", payload)
+        conn = self._checkout(target)
+        if conn is not None:
             try:
-                conn.request(method, path, body=payload, headers=headers)
-                response = conn.getresponse()
-                raw = response.read()
-            except (http.client.BadStatusLine, http.client.RemoteDisconnected,
-                    ConnectionError, OSError):
+                response = conn.exchange(request)
+            except OSError:  # stale keep-alive socket: one fresh retry
                 conn.close()
-                if reused:
-                    continue  # stale keep-alive socket: one fresh retry
+                conn = None
+        if conn is None:
+            self.connections_opened += 1
+            conn = Connection(target, self.timeout_s)
+            try:
+                response = conn.exchange(request)
+            except OSError:
+                conn.close()
                 raise
-            response_headers = {k.lower(): v for k, v in response.getheaders()}
-            if response.will_close:
-                conn.close()
-            else:
-                self._checkin(target, conn)
-            return response.status, response_headers, response.reason, raw
-        raise ServeError("unreachable")  # pragma: no cover - loop always returns
+        if response.keep_alive:
+            self._checkin(target, conn)
+        else:
+            conn.close()
+        return response
 
-    def _checkout(self, target: Tuple[str, int]):
+    def _checkout(self, target: Target) -> Optional[Connection]:
         with self._pool_lock:
             return self._pool.pop(target, None)
 
-    def _checkin(self, target: Tuple[str, int], conn) -> None:
+    def _checkin(self, target: Target, conn: Connection) -> None:
         with self._pool_lock:
             parked = self._pool.setdefault(target, conn)
         if parked is not conn:  # another thread refilled the slot first
@@ -396,15 +448,13 @@ class _Shed(Exception):
     handling (``BackpressureError``) takes over.
     """
 
-    def __init__(self, response, retry_after_s: float) -> None:
+    def __init__(self, response: Response, retry_after_s: float) -> None:
         super().__init__("429")
         self.response = response
         self.retry_after_s = retry_after_s
 
 
-def _resolve_redirect(
-    target: Tuple[str, int], location: str
-) -> Tuple[Tuple[str, int], str]:
+def _resolve_redirect(target: Target, location: str) -> Tuple[Target, str]:
     """Turn a ``Location`` header into the next ``(host, port)`` and path.
 
     Absolute URLs (the cluster's cross-node form) switch targets; bare

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional, Set, Tuple
 
 from ..campaign.spec import REGISTRY
-from ..errors import ChaosCrash, ConfigError, ServeError
+from ..errors import ChaosCrash, ConfigError, FramingError, ServeError
 from .cache import ResultCache
 from .metrics import PREFIX, Metrics
 from .protocol import (
@@ -49,7 +49,7 @@ from .protocol import (
     PROTOCOL_VERSION,
     Request,
     canonicalize_submission,
-    read_request,
+    parse_request,
     render_response,
 )
 from .queuein import AdmissionQueue, QueueFull, QueuedJob
@@ -147,6 +147,8 @@ class ServeDaemon:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._loop_done: Optional[asyncio.Event] = None
         self._thread: Optional[threading.Thread] = None
+        #: open client transports (touched on the loop thread only)
+        self._transports: Set[asyncio.Transport] = set()
         self.metrics.register_gauge(
             f"{PREFIX}_queue_depth",
             "Jobs admitted and waiting for dispatch.",
@@ -251,10 +253,10 @@ class ServeDaemon:
             self._stopped.set()
 
     async def _serve(self, bound: threading.Event) -> None:
-        self._loop = asyncio.get_running_loop()
+        self._loop = loop = asyncio.get_running_loop()
         self._loop_done = asyncio.Event()
-        server = await asyncio.start_server(
-            self._handle_connection, host=self.config.host, port=self.config.port
+        server = await loop.create_server(
+            lambda: _HttpProtocol(self), host=self.config.host, port=self.config.port
         )
         self.port = server.sockets[0].getsockname()[1]
         listener_fd = server.sockets[0].fileno()
@@ -265,66 +267,39 @@ class ServeDaemon:
                 await self._loop_done.wait()
         finally:
             _LISTENER_FDS.discard(listener_fd)
+            await self._close_connections()
 
-    async def _handle_connection(self, reader, writer) -> None:
-        # Persistent connections: keep answering requests off one socket
-        # until the client closes (or asks to), framing fails, or the
-        # daemon drains.  Clients that pipeline submit/status/result reuse
-        # one TCP handshake instead of paying one per poll.
-        try:
-            await self._serve_connection(reader, writer)
-        except asyncio.CancelledError:
-            # Loop teardown (abrupt kill) cancelled us mid-read; the
-            # socket dies with the loop — nothing to clean up or log.
-            return
+    async def _close_connections(self, grace_s: float = 1.0) -> None:
+        """Close every open connection before the loop goes away.
 
-    async def _serve_connection(self, reader, writer) -> None:
-        try:
-            while True:
-                try:
-                    request = await read_request(reader)
-                except (ConfigError, asyncio.IncompleteReadError) as exc:
-                    writer.write(_json_response(400, {"error": str(exc)}))
-                    await writer.drain()
-                    return
-                if request is None:
-                    return
-                status, payload, raw, headers = self._route(request)
-                keep_alive = (
-                    request.headers.get("connection", "").lower() != "close"
-                    and not self._draining.is_set()
-                )
-                if raw is not None:
-                    body, content_type = raw
-                    writer.write(
-                        render_response(
-                            status, body, content_type,
-                            extra_headers=headers, keep_alive=keep_alive,
-                        )
-                    )
-                else:
-                    writer.write(
-                        _json_response(status, payload, headers, keep_alive=keep_alive)
-                    )
-                await writer.drain()
-                if not keep_alive:
-                    return
-        except (ConnectionError, BrokenPipeError):  # client went away mid-answer
-            return
-        except ChaosCrash:
-            # Simulated death between durable admission and the ack: the
-            # client sees exactly what a real crash gives it — a dropped
-            # connection and no acknowledgement — while the in-process
-            # harness keeps the loop alive to observe the recovery.  (In
-            # crash_mode="exit" the process already died before this.)
-            writer.transport.abort()
-            return
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, BrokenPipeError):
-                return
+        ``close()`` flushes a response still in the transport's buffer;
+        a peer that will not take it within ``grace_s`` is aborted, so no
+        socket outlives the daemon (a client parked on one would wait out
+        its whole timeout instead of seeing the close at once).
+        """
+        loop = asyncio.get_running_loop()
+        for transport in list(self._transports):
+            transport.close()
+        deadline = loop.time() + grace_s
+        while self._transports and loop.time() < deadline:
+            await asyncio.sleep(0.005)
+        for transport in list(self._transports):
+            transport.abort()
+        await asyncio.sleep(0)  # lets the aborted transports' close callbacks run
+
+    def _respond(self, request: Request) -> Tuple[bytes, bool]:
+        """Route one request; returns (response bytes, keep the connection)."""
+        status, payload, raw, headers = self._route(request)
+        keep_alive = (
+            request.headers.get("connection", "").lower() != "close"
+            and not self._draining.is_set()
+        )
+        if raw is None:
+            return _json_response(status, payload, headers, keep_alive=keep_alive), keep_alive
+        body, content_type = raw
+        return render_response(
+            status, body, content_type, extra_headers=headers, keep_alive=keep_alive
+        ), keep_alive
 
     # -- routing --------------------------------------------------------
     def _route(
@@ -511,20 +486,23 @@ class ServeDaemon:
         return 200, body, None, None
 
     def _result(self, job_id: str):
-        row = self.cache.job_row(job_id)
+        # At most one store read: none for an id the LRU holds, and a cold
+        # id's single row supplies both the payload and, failing that, the
+        # status.  (On a cluster node a store read of an unknown id is a
+        # peer probe, so a second read here would be a second probe.)
+        text, row = self.cache.fetch(job_id)
+        if text is not None:
+            # Verbatim stored bytes: the byte-identical replay contract.
+            return 200, None, (text.encode("utf-8"), "application/json"), None
         if row is None:
             redirect = self._lookup_redirect(job_id, suffix="/result")
             if redirect is not None:
                 return redirect
             return 404, {"error": f"unknown job id {job_id!r}"}, None, None
-        text = self.cache.lookup(job_id)
-        if text is None:
-            return 404, {
-                "error": f"job {job_id} is {row.status}, not done",
-                "status": row.status,
-            }, None, None
-        # Verbatim stored bytes: the byte-identical replay contract.
-        return 200, None, (text.encode("utf-8"), "application/json"), None
+        return 404, {
+            "error": f"job {job_id} is {row.status}, not done",
+            "status": row.status,
+        }, None, None
 
     def _catalog(self) -> dict:
         experiments = {}
@@ -548,6 +526,92 @@ class ServeDaemon:
         else:
             estimate = mean * (self.queue.depth + 1) / max(1, self.config.workers)
         return max(1, min(300, round(estimate)))
+
+
+class _HttpProtocol(asyncio.Protocol):
+    """One client socket: bytes in, parsed requests routed, bytes out.
+
+    Persistent and pipelined: every complete request in the buffer is
+    answered in order with one ``transport.write`` each, until the client
+    closes (or asks to), framing fails, or the daemon drains.  While the
+    transport's write buffer is over its high-water mark the connection
+    neither reads nor parses, so a client that stops reading its answers
+    holds a bounded amount of the daemon's memory.
+    """
+
+    __slots__ = ("_daemon", "_transport", "_buffer", "_paused", "_eof")
+
+    def __init__(self, daemon: "ServeDaemon") -> None:
+        self._daemon = daemon
+        self._transport: Any = None
+        self._buffer = bytearray()
+        self._paused = False
+        self._eof = False
+
+    def connection_made(self, transport) -> None:
+        self._transport = transport
+        self._daemon._transports.add(transport)
+
+    def connection_lost(self, exc) -> None:
+        self._daemon._transports.discard(self._transport)
+
+    def data_received(self, data: bytes) -> None:
+        self._buffer += data
+        self._pump()
+
+    def eof_received(self) -> bool:
+        # The peer is done sending but may still be reading: requests
+        # already buffered are answered before this side closes.
+        self._eof = True
+        self._pump()
+        return True
+
+    def pause_writing(self) -> None:
+        self._paused = True
+        self._transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self._paused = False
+        self._transport.resume_reading()
+        self._pump()
+
+    def _pump(self) -> None:
+        buffer, transport = self._buffer, self._transport
+        while buffer and not self._paused and not transport.is_closing():
+            try:
+                request, consumed = parse_request(buffer)
+            except FramingError as exc:
+                self._finish(_json_response(exc.status, {"error": str(exc)}))
+                break
+            del buffer[:consumed]
+            if request is None:
+                break
+            try:
+                response, keep_alive = self._daemon._respond(request)
+            except ChaosCrash:
+                # Simulated death between durable admission and the ack:
+                # the client sees exactly what a real crash gives it — a
+                # dropped connection and no acknowledgement — while the
+                # in-process harness keeps the loop alive to observe the
+                # recovery.  (In crash_mode="exit" the process already
+                # died before this.)
+                transport.abort()
+                break
+            if keep_alive:
+                transport.write(response)
+            else:
+                self._finish(response)
+        if self._eof and not self._paused and not transport.is_closing():
+            if buffer:
+                self._finish(_json_response(400, {"error": "connection closed mid-request"}))
+            else:
+                transport.close()
+
+    def _finish(self, response: bytes) -> None:
+        """Write the last response of this connection and close after it."""
+        self._buffer.clear()
+        self._transport.write(response)
+        self._transport.close()
 
 
 def _endpoint_label(method: str, path: str) -> str:

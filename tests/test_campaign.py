@@ -7,7 +7,9 @@ slow sequential-vs-campaign equivalence check for real experiments lives
 in ``test_campaign_equivalence.py``.
 """
 
+import dataclasses
 import json
+import pickle
 import time
 
 import pytest
@@ -129,6 +131,43 @@ class TestJobSpec:
     def test_json_roundtrip(self):
         job = JobSpec(eid="E7", point_index=2, point=[16], quick=True, seed=9)
         assert JobSpec.from_json(job.to_json()) == job
+
+    def test_job_id_is_hashed_once_and_changes_nothing_else(self, monkeypatch):
+        from repro.campaign import spec as spec_mod
+
+        grid = [
+            job
+            for quick in (True, False)
+            for job in CampaignSpec(
+                experiments=tuple(sorted(REGISTRY)), quick=quick
+            ).expand()
+        ]
+        assert len(grid) >= 2 * len(REGISTRY)
+        for job in grid:
+            assert job.job_id == spec_mod._content_hash(job.to_dict())
+        job = grid[0]
+        fresh = JobSpec.from_dict(job.to_dict())  # never asked for its id
+        assert fresh == job and "job_id" not in vars(fresh)
+        clone = pickle.loads(pickle.dumps(job))
+        assert clone == job and clone.job_id == job.job_id
+        moved = dataclasses.replace(job, seed=job.seed + 1)
+        assert moved != job and moved.job_id != job.job_id
+        assert moved.job_id == spec_mod._content_hash(moved.to_dict())
+        assert dataclasses.asdict(job) == dataclasses.asdict(fresh)
+        hashable = JobSpec(eid="demo", point_index=0, point=None, quick=True, seed=1)
+        twin = dataclasses.replace(hashable)
+        hashable.job_id
+        assert hash(hashable) == hash(twin) and {hashable: 1}[twin] == 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            job.seed = 0
+        hashed = []
+        real = spec_mod._content_hash
+        monkeypatch.setattr(
+            spec_mod, "_content_hash", lambda data: hashed.append(1) or real(data)
+        )
+        probe = JobSpec(eid="demo", point_index=0, point=[1], quick=True, seed=2)
+        assert len({probe.job_id for _ in range(100)}) == 1
+        assert len(hashed) == 1
 
     def test_future_version_rejected(self):
         data = JobSpec(eid="E5", point_index=0, point=None, quick=True, seed=1).to_dict()

@@ -189,8 +189,13 @@ class TestWorkStealing:
         b.start()
         try:
             _wait_converged([a, b])
+            # The slow experiment first: only jobs still *queued* can be
+            # stolen, and the victim's scheduler buffers the whole queue
+            # the moment its one worker frees up.  With the ms-scale demo
+            # point in front that is ~80 ms after the flood, inside one
+            # gossip tick in a warm process; demo-noc holds it ~0.8 s.
             grid = CampaignSpec(
-                experiments=("demo", "demo-noc"), quick=True
+                experiments=("demo-noc", "demo"), quick=True
             ).expand()
             with ServeClient(port=a.port, client_id="flood") as client:
                 jids = [_submit(client, spec)["job_id"] for spec in grid]

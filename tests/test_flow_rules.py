@@ -114,6 +114,36 @@ class TestPragmaSharing:
         assert _lint(src) == []
 
 
+class TestOwnConnectionIsAResource:
+    """``repro.serve.client.Connection`` is tracked like the stdlib's."""
+
+    @pytest.mark.parametrize("imported", [
+        "from repro.serve.client import Connection",
+        "from ..serve.client import Connection",  # how cluster/peer.py spells it
+    ])
+    def test_unguarded_close_fires_and_with_is_clean(self, tmp_path, imported):
+        leaky = tmp_path / "leaky.py"
+        leaky.write_text(
+            f"{imported}\n\n\n"
+            "def call(target, request):\n"
+            "    conn = Connection(target, 2.0)\n"
+            "    response = conn.exchange(request)\n"
+            "    conn.close()\n"
+            "    return response\n"
+        )
+        (violation,) = _lint(leaky)
+        assert violation.rule == "resource-lifecycle"
+        assert "HTTP connection" in violation.message
+        managed = tmp_path / "managed.py"
+        managed.write_text(
+            f"{imported}\n\n\n"
+            "def call(target, request):\n"
+            "    with Connection(target, 2.0) as conn:\n"
+            "        return conn.exchange(request)\n"
+        )
+        assert _lint(managed) == []
+
+
 class TestTreeIsClean:
     def test_shipped_tree_is_deep_clean(self):
         # against the committed baseline (which is empty: every true

@@ -12,12 +12,13 @@ import pytest
 from repro.errors import BackpressureError, ServeError
 from repro.serve import client as client_mod
 from repro.serve.client import ServeClient, _Shed
+from repro.serve.protocol import Response
 
 
 def _response(status, payload=None, headers=None):
     raw = json.dumps(payload if payload is not None else {}).encode("utf-8")
     lowered = {k.lower(): v for k, v in (headers or {}).items()}
-    return (status, lowered, "reason", raw)
+    return Response(status, lowered, raw, keep_alive=True)
 
 
 @pytest.fixture()

@@ -56,7 +56,8 @@ def daemon(tmp_path):
 
 @pytest.fixture
 def client(daemon):
-    return ServeClient(port=daemon.port, client_id="pytest")
+    with ServeClient(port=daemon.port, client_id="pytest") as c:
+        yield c
 
 
 class TestEndpoints:
