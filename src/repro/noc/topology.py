@@ -170,8 +170,13 @@ class Topology:
         return False
 
     def hop_distance(self, src_router: int, dst_router: int) -> int:
-        """Minimal hop count between two routers."""
-        raise NotImplementedError
+        """Minimal hop count between two routers (read from their hop row)."""
+        self._check_router(src_router)
+        self._check_router(dst_router)
+        row = self._hop_rows[src_router]
+        if row is None:
+            row = self._fill_hop_row(src_router)
+        return row[dst_router]
 
     def node_distance(self, src_node: int, dst_node: int) -> int:
         """Minimal router-hop count between the routers of two nodes."""
@@ -187,11 +192,18 @@ class Topology:
         )
 
     def _fill_hop_row(self, router: int) -> array:
-        """Hop counts from ``router`` to every router, via :meth:`hop_distance`."""
-        row = self._hop_rows[router] = array(
-            self._hop_code, [self.hop_distance(router, dst) for dst in self.routers()]
-        )
+        """Hop counts from ``router`` to every router, from :meth:`_hop_counts`."""
+        row = self._hop_rows[router] = array(self._hop_code, self._hop_counts(router))
         return row
+
+    def _hop_counts(self, router: int) -> List[int]:
+        """Minimal hop count from ``router`` to every router, in router order.
+
+        The one definition of distance per topology class: a comprehension
+        over :attr:`_coords`, which :meth:`hop_distance` and
+        :meth:`node_distance` both read through the hop rows.
+        """
+        raise NotImplementedError
 
     def to_networkx(self) -> "networkx.DiGraph":
         """Directed router graph; edges carry the outgoing port index.
@@ -240,10 +252,9 @@ class Mesh(Topology):
             return self.router_at(x, y - 1) if y - 1 >= 0 else None
         raise TopologyError(f"mesh has no port {port}")
 
-    def hop_distance(self, src_router: int, dst_router: int) -> int:
-        sx, sy = self.coords(src_router)
-        dx, dy = self.coords(dst_router)
-        return abs(sx - dx) + abs(sy - dy)
+    def _hop_counts(self, router: int) -> List[int]:
+        sx, sy = self._coords[router]
+        return [abs(sx - x) + abs(sy - y) for x, y in self._coords]
 
 
 class Torus(Topology):
@@ -263,12 +274,13 @@ class Torus(Topology):
             return self.router_at(x, (y - 1) % self.height)
         raise TopologyError(f"torus has no port {port}")
 
-    def hop_distance(self, src_router: int, dst_router: int) -> int:
-        sx, sy = self.coords(src_router)
-        dx, dy = self.coords(dst_router)
-        ddx = abs(sx - dx)
-        ddy = abs(sy - dy)
-        return min(ddx, self.width - ddx) + min(ddy, self.height - ddy)
+    def _hop_counts(self, router: int) -> List[int]:
+        sx, sy = self._coords[router]
+        w, h = self.width, self.height
+        return [
+            min(abs(sx - x), w - abs(sx - x)) + min(abs(sy - y), h - abs(sy - y))
+            for x, y in self._coords
+        ]
 
     def is_wrap_channel(self, router: int, port: int) -> bool:
         x, y = self.coords(router)

@@ -113,22 +113,41 @@ def build_cdg(
     starved: Set[Tuple[Channel, int]] = set()
     turn_findings: Dict[Tuple[int, int, int], Tuple[int, int]] = {}
 
-    def legal(channel: Channel, bits: Tuple[int, int], msg_class: int) -> Tuple[int, ...]:
-        dclass = bits[port_dimension(channel[1])]
-        return legal_output_vcs(
-            vc_select, msg_class, num_vcs, dateline_active=dateline, dateline_class=dclass
-        )
+    # Everything below is asked once per build, not once per search step:
+    # the turn declaration per router, the far end of each channel (and
+    # whether it wraps, and its dimension), and per message class the legal
+    # VCs of each dateline class.  Candidates are asked once per
+    # (class, destination): one row, shared by the seeds and the expansion.
+    routers = range(topo.num_routers)
+    forbidden_at = [routing.forbidden_turns(topo, r) for r in routers]
+    ends: Dict[Channel, Tuple[int, Optional[int], bool]] = {}
+
+    def channel_end(channel: Channel) -> Tuple[int, Optional[int], bool]:
+        r1, p1 = channel
+        dim = port_dimension(p1)
+        r2 = topo.neighbor(r1, p1)
+        wrap = dateline and r2 is not None and topo.is_wrap_channel(r1, p1)
+        end = ends[channel] = (dim, r2, wrap)
+        return end
 
     for msg_class in msg_classes:
-        for dst in topo.routers():
+        legal_sets = [
+            frozenset(legal_output_vcs(
+                vc_select, msg_class, num_vcs, dateline_active=dateline, dateline_class=d
+            ))
+            for d in (0, 1)
+        ]
+        for dst in routers:
             # State: (channel about to be / just traversed, dateline bits the
             # packet held when it *requested* that channel).
             seen: Set[Tuple[Channel, Tuple[int, int]]] = set()
             stack: List[Tuple[Channel, Tuple[int, int]]] = []
-            for src in topo.routers():
+            row: List[List[int]] = [[]] * len(routers)
+            for src in routers:
                 if src == dst:
                     continue
-                for port in routing.candidates(topo, src, dst):
+                ports = row[src] = routing.candidates(topo, src, dst)
+                for port in ports:
                     if port == LOCAL:
                         continue
                     state = ((src, port), (0, 0))
@@ -137,8 +156,10 @@ def build_cdg(
                         stack.append(state)
             while stack:
                 (channel, bits) = stack.pop()
-                r1, p1 = channel
-                vcs1 = legal(channel, bits, msg_class)
+                p1 = channel[1]
+                dim, r2, wrap = ends.get(channel) or channel_end(channel)
+                dclass = bits[dim]
+                vcs1 = legal_sets[dclass]
                 if not vcs1 and (channel, msg_class) not in starved:
                     starved.add((channel, msg_class))
                     result.findings.append(
@@ -148,7 +169,7 @@ def build_cdg(
                                 f"channel {_channel_name(topo, channel)} has no "
                                 f"legal output VC for class "
                                 f"{MessageClass.NAMES[msg_class]} packets "
-                                f"(dateline class {bits[port_dimension(p1)]}, "
+                                f"(dateline class {dclass}, "
                                 f"{num_vcs} VC(s), policy {vc_select!r})"
                             ),
                             details=(
@@ -159,17 +180,15 @@ def build_cdg(
                             ),
                         )
                     )
-                r2 = topo.neighbor(r1, p1)
                 if r2 is None:  # pragma: no cover - routing off the edge
                     continue
                 arrival = bits
-                if dateline and topo.is_wrap_channel(r1, p1):
-                    dim = port_dimension(p1)
+                if wrap:
                     arrival = (1, bits[1]) if dim == 0 else (bits[0], 1)
                 if r2 == dst:
                     continue  # ejects; the LOCAL sink holds no channel
-                forbidden = routing.forbidden_turns(topo, r2)
-                for p2 in routing.candidates(topo, r2, dst):
+                forbidden = forbidden_at[r2]
+                for p2 in row[r2]:
                     if p2 == LOCAL:
                         continue
                     if (p1, p2) in forbidden and (r2, p1, p2) not in turn_findings:
@@ -193,8 +212,9 @@ def build_cdg(
                             )
                         )
                     nxt: Channel = (r2, p2)
-                    vcs2 = legal(nxt, arrival, msg_class)
-                    key = (channel, frozenset(vcs1), nxt, frozenset(vcs2))
+                    nxt_dim = (ends.get(nxt) or channel_end(nxt))[0]
+                    vcs2 = legal_sets[arrival[nxt_dim]]
+                    key = (channel, vcs1, nxt, vcs2)
                     if key not in edge_groups:
                         edge_groups[key] = (msg_class, dst)
                     state = (nxt, arrival)

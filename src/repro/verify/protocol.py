@@ -39,6 +39,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
+from ..errors import ConfigError
 from ..fullsys.coherence import (
     BLOCKING_WAITS,
     BUSY_MEM,
@@ -605,7 +606,16 @@ def check_protocol(
     Alternative tables substitute the specification under test (used by the
     deliberately-broken fixtures); the executor semantics are always those
     of the shipped implementation.
+
+    Raises :class:`~repro.errors.ConfigError` for ``num_cores < 2``: with
+    fewer than two cachers no line is ever shared or invalidated, so SWMR
+    would be certified vacuously.
     """
+    if num_cores < 2:
+        raise ConfigError(
+            f"the protocol abstraction needs >= 2 cachers to exercise "
+            f"sharing, invalidation and SWMR, got {num_cores}"
+        )
     dir_table = DIRECTORY_TABLE if directory_table is None else directory_table
     cch_table = CACHE_TABLE if cache_table is None else cache_table
     mem_table = MEMORY_TABLE if memory_table is None else memory_table

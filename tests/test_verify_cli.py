@@ -32,6 +32,15 @@ class TestVerifyCommand:
     def test_unmatched_filter_exits_two(self, capsys):
         assert verify_main(["no-such-subject"]) == 2
 
+    @pytest.mark.parametrize("cores", ["0", "-1", "1"])
+    def test_too_few_cores_exits_two_with_one_line(self, capsys, cores):
+        assert repro_main(["verify", "coherence", "--cores", cores]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("verify: ") and ">= 2 cachers" in line
+        assert "Traceback" not in captured.err
+
     def test_dispatch_through_repro_cli(self, capsys):
         assert repro_main(["verify", "protocol"]) == 0
         assert "directory protocol" in capsys.readouterr().out

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import ConfigError
 from repro.fullsys.coherence import (
     CACHE_TABLE,
     DIRECTORY_TABLE,
@@ -9,7 +10,7 @@ from repro.fullsys.coherence import (
     MessageKind,
     TransitionSpec,
 )
-from repro.verify import broken_cache_table
+from repro.verify import broken_cache_table, verify_protocol
 from repro.verify.protocol import (
     check_message_dependencies,
     check_protocol,
@@ -52,6 +53,16 @@ class TestShippedProtocolCertifies:
         assert (CacheLabel.M, MessageKind.INV) not in CACHE_TABLE
         assert (CacheLabel.IM_A, MessageKind.INV) not in CACHE_TABLE
         assert shipped_report.ok
+
+
+class TestTooFewCachers:
+    @pytest.mark.parametrize("num_cores", [1, 0, -1])
+    def test_fewer_than_two_cachers_is_a_config_error(self, num_cores):
+        # one cacher never shares or invalidates: SWMR would hold vacuously
+        with pytest.raises(ConfigError, match=">= 2 cachers"):
+            check_protocol(num_cores=num_cores)
+        with pytest.raises(ConfigError, match=">= 2 cachers"):
+            verify_protocol(num_cores=num_cores)
 
 
 class TestBrokenTableRefuted:
