@@ -513,8 +513,8 @@ def jobs_batchable(jobs: Sequence[dict]) -> Tuple[bool, str]:
     """Whether these job dicts may run as lanes of one kernel batch.
 
     True only when there are at least two jobs, every job's experiment is
-    engine-aware, and the configs they declare agree on network shape and
-    quantum (per :func:`repro.engine.batch.configs_batchable`).
+    engine-aware, and the configs they declare agree on network shape
+    (per :func:`repro.engine.batch.configs_batchable`); quanta may differ.
     """
     if len(jobs) < 2:
         return False, "batching needs at least two jobs"

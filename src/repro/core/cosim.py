@@ -20,6 +20,11 @@ configuration used as ground truth throughout the experiments).  Inline
 (abstract) models are evaluated synchronously inside the event loop, exactly
 as a built-in analytical network would be.
 
+That window loop is written once, in :func:`run_lanes`, over a list of
+co-simulations: :meth:`CoSimulator.run` is its one-lane case, and
+:func:`repro.engine.run_cosim_batch` hands it the lanes of one shared
+kernel batch.  Every lane is windowed by its own clock and quantum.
+
 A *shadow* detailed network can be attached for the hybrid modes of
 experiment E8: it receives the same traffic (context) but its deliveries are
 discarded except for feeding the feedback table, while an inline model
@@ -31,7 +36,8 @@ from __future__ import annotations
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from heapq import heappop, heappush
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigError, SimulationError
 from ..fullsys.cmp import CmpSystem
@@ -40,7 +46,7 @@ from .feedback import LatencyFeedback
 from .interfaces import NetworkModel
 from .quantum import FixedQuantum
 
-__all__ = ["CoSimulator", "CoSimResult"]
+__all__ = ["CoSimulator", "CoSimResult", "run_lanes"]
 
 
 @dataclass
@@ -125,7 +131,7 @@ class CoSimulator:
         self._wall_system = 0.0
         self._wall_network = 0.0
         #: execution provenance (repro.engine.api.EngineDecision), set by
-        #: build_cosim / the lockstep batch driver; duck-typed so the core
+        #: build_cosim / run_cosim_batch; duck-typed so the core
         #: never imports the engine package at module level.
         self.engine_decision: Optional[object] = None
         #: False until the first run() call has started the system; lets a
@@ -180,10 +186,11 @@ class CoSimulator:
     # loop to the boundary, (flush) hand buffered messages to the network
     # at their creation cycles, (advance) step the network to the
     # boundary, (collect) schedule its deliveries back into the event
-    # loop, (finish) invariants / quantum observation / monitors.  run()
-    # composes them sequentially; the lockstep multi-job driver
-    # (repro.engine.batch) interleaves each phase across all lanes so a
-    # shared batched kernel advances every simulation at once.
+    # loop, (finish) invariants / quantum observation / monitors.
+    # run_lanes() opens a window (system, flush) per lane at that lane's
+    # own boundary, then advances and collects only the lanes whose
+    # boundary is the earliest open one, so lanes sharing one batched
+    # kernel step it together while each keeps its own quantum.
     # ------------------------------------------------------------------
     def _begin(self) -> None:
         """Start the system exactly once (checkpoint-restore safe)."""
@@ -255,7 +262,7 @@ class CoSimulator:
             self.checkpointer.after_window(self, target)
 
     def _tail_pending(self) -> bool:
-        """Anything left that :meth:`_drain_tail` must still deliver?"""
+        """Anything left that a drain window must still deliver?"""
         return bool(
             self.system.events.pending
             or self._outbox
@@ -294,45 +301,9 @@ class CoSimulator:
         )
 
     # ------------------------------------------------------------------
-    # Main loop
-    # ------------------------------------------------------------------
     def run(self, max_cycles: int = 5_000_000) -> CoSimResult:
         """Run until every core finishes (or ``max_cycles``)."""
-        wall_start = time.perf_counter()  # simlint: allow[wall-clock]
-        self._begin()
-        t = self.system.now
-        while not self.system.all_finished:
-            if t >= max_cycles:
-                break
-            self._check_wedge()
-            window = self.quantum.next_quantum()
-            target = min(t + window, max_cycles)
-            sent_before = self.messages_sent
-            self._phase_system(target)
-            self._advance_network(target)
-            self._phase_finish(target, sent_before)
-            t = target
-        if self.system.all_finished:
-            self._drain_tail()
-        return self._result(time.perf_counter() - wall_start)  # simlint: allow[wall-clock]
-
-    def _drain_tail(self) -> None:
-        """Deliver the protocol's trailing messages after the last core
-        finishes (writebacks, acks, unblocks) so message accounting balances
-        and the final system state is quiescent."""
-        while self._tail_pending():
-            if self._tail_stalled():
-                raise self._tail_error()
-            target = self.system.now + self.quantum.next_quantum()
-            self.system.run_until(target)
-            self._advance_network(target)
-            if self.invariants is not None:
-                self.invariants.after_window(self, target)
-
-    def _advance_network(self, target: int) -> None:
-        self._phase_flush()
-        self._phase_advance(target)
-        self._phase_collect()
+        return run_lanes([self], max_cycles)[0]
 
     # ------------------------------------------------------------------
     def _result(self, wall_total: float) -> CoSimResult:
@@ -364,3 +335,69 @@ class CoSimulator:
             network_description=description,
             feedback_snapshot=self.feedback.snapshot(),
         )
+
+
+def run_lanes(cosims: Sequence[CoSimulator], max_cycles: int) -> List[CoSimResult]:
+    """Run every co-simulation until its cores finish (or ``max_cycles``).
+
+    Each lane opens its window ``[now, now + Q)`` from its own clock and
+    its own ``quantum.next_quantum()``: a main window, cut at
+    ``max_cycles``, while cores run; then, once its last core finishes,
+    drain windows (never cut) until the protocol's trailing messages are
+    delivered under the tail progress guard.  Opening runs the system
+    phase and the flush.  The network clock then advances to the earliest
+    open boundary, and only the lanes whose boundary that is advance,
+    collect and do their bookkeeping — so lanes of one shared kernel
+    batch step it together, and a lane's result does not depend on the
+    lanes beside it.  Drain windows call only ``invariants.after_window``.
+    """
+    wall_start = time.perf_counter()  # simlint: allow[wall-clock]
+    lanes = len(cosims)
+    results: List[Optional[CoSimResult]] = [None] * lanes
+    # open windows as (boundary, lane): lanes due together pop in lane order
+    open_windows: List[Tuple[int, int]] = []
+    # messages sent before each lane's main window (None: a drain window)
+    sent_before: List[Optional[int]] = [None] * lanes
+    for cosim in cosims:
+        cosim._begin()
+    due: Sequence[int] = range(lanes)
+    while True:
+        for i in due:
+            cosim = cosims[i]
+            system = cosim.system
+            now = system.now
+            finished = system.all_finished
+            if not finished and now < max_cycles:
+                cosim._check_wedge()
+                target = min(now + cosim.quantum.next_quantum(), max_cycles)
+                sent_before[i] = cosim.messages_sent
+                cosim._phase_system(target)
+            elif finished and cosim._tail_pending():
+                if cosim._tail_stalled():
+                    raise cosim._tail_error(f" in lane {i}" if lanes > 1 else "")
+                target = now + cosim.quantum.next_quantum()
+                sent_before[i] = None
+                system.run_until(target)
+            else:
+                wall = time.perf_counter() - wall_start  # simlint: allow[wall-clock]
+                results[i] = cosim._result(wall)
+                continue
+            cosim._phase_flush()
+            heappush(open_windows, (target, i))
+        if not open_windows:
+            return [r for r in results if r is not None]
+        target = open_windows[0][0]
+        due = []
+        while open_windows and open_windows[0][0] == target:
+            due.append(heappop(open_windows)[1])
+        for i in due:
+            # The first due lane of a shared batch steps it to the
+            # boundary; the others find its clock already there.
+            cosim = cosims[i]
+            cosim._phase_advance(target)
+            cosim._phase_collect()
+            sent = sent_before[i]
+            if sent is not None:
+                cosim._phase_finish(target, sent)
+            elif cosim.invariants is not None:
+                cosim.invariants.after_window(cosim, target)

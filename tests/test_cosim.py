@@ -3,15 +3,20 @@
 import pytest
 
 from repro.core import (
+    AdaptiveQuantum,
     CoSimulator,
     FixedQuantum,
     TargetConfig,
     build_cosim,
     default_target_table,
 )
+from repro.core.cosim import run_lanes
+from repro.engine.network import SimdBatch
 from repro.errors import ConfigError, SimulationError
 from repro.fullsys import CmpConfig
 from repro.noc import MessageClass
+
+from .test_engine_cosim import _result_sig
 
 
 def small(app="water", model="cycle", quantum=4, seed=3, **kw):
@@ -25,6 +30,19 @@ def small(app="water", model="cycle", quantum=4, seed=3, **kw):
         scale=0.3,
         **kw,
     )
+
+
+def _batch_lanes(configs):
+    """One co-simulation per config, each on a lane of one shared batch."""
+    batch = SimdBatch(configs[0].make_topology(), configs[0].noc, lanes=len(configs))
+    return [
+        build_cosim(
+            config,
+            simd_network_factory=lambda topo, noc, _lane=batch.lane(i): _lane,
+            verify="off",
+        )
+        for i, config in enumerate(configs)
+    ]
 
 
 class TestCompletion:
@@ -75,36 +93,40 @@ class TestTailDrain:
         assert result.messages_sent == result.deliveries
 
     @staticmethod
-    def _finished_with_a_busy_event():
-        cosim = build_cosim(small(model="fixed"))
-        done = cosim.run()
+    def _add_busy_event(cosim):
         events = cosim.system.events
 
         def tick():  # a self-rescheduling event: busy, but moving no message
             events.schedule_in(1, tick)
 
         tick()
-        return cosim, done
 
     def test_stuck_tail_still_fails_within_the_guard(self):
-        cosim, done = self._finished_with_a_busy_event()
+        cosim = build_cosim(small(model="fixed"))
+        done = cosim.run()
+        self._add_busy_event(cosim)
         with pytest.raises(
             SimulationError,
             match=r"tail failed to drain \(1 events, 0 packets left\)",
         ):
-            cosim._drain_tail()
+            cosim.run()
         assert cosim.system.now <= done.cycles + 10_000 + 8
         assert cosim.deliveries == done.deliveries
 
     def test_lockstep_lane_shares_the_guard(self):
-        # repro.engine.batch drains each lane window by window under the
-        # same check, naming the lane.
-        cosim, done = self._finished_with_a_busy_event()
-        with pytest.raises(SimulationError, match=r"packets left in lane 3\)"):
-            while not cosim._tail_stalled():
-                cosim.system.run_until(cosim.system.now + 4)
-            raise cosim._tail_error(" in lane 3")
-        assert cosim.system.now <= done.cycles + 10_000 + 8
+        # The lanes of one kernel batch drain window by window under the
+        # same check; the error names the stuck lane.
+        cosims = _batch_lanes([small(model="simd")] * 2)
+        done = run_lanes(cosims, 5_000_000)
+        self._add_busy_event(cosims[1])
+        with pytest.raises(
+            SimulationError,
+            match=r"\(1 events, 0 packets left in lane 1\)",
+        ):
+            run_lanes(cosims, 5_000_000)
+        assert cosims[0].system.now == done[0].cycles
+        assert cosims[1].system.now <= done[1].cycles + 10_000 + 8
+        assert cosims[1].deliveries == done[1].deliveries
 
 
 class TestQuantumSemantics:
@@ -134,6 +156,45 @@ class TestQuantumSemantics:
         config = small(model="cycle")
         cosim = build_cosim(config)
         assert isinstance(cosim.quantum, FixedQuantum)
+
+
+class TestAdaptiveQuantum:
+    """Whole runs under E9's traffic-sized windows, pinned field by field."""
+
+    @staticmethod
+    def _adaptive(cosim):
+        cosim.quantum = AdaptiveQuantum(min_cycles=2, max_cycles=32, target_messages=24)
+        return cosim
+
+    @staticmethod
+    def _fft(model, seed=5):
+        return TargetConfig(width=4, height=4, app="fft", seed=seed, scale=0.05,
+                            network_model=model)
+
+    @staticmethod
+    def _stats(result):
+        return (result.finish_cycle, result.cycles, result.windows,
+                result.messages_sent, result.deliveries, result.clamped_deliveries,
+                sum(result.applied_latencies[-1]))
+
+    @pytest.mark.parametrize("model, expected", [
+        ("simd", (5852, 6026, 2898, 9395, 9395, 4597, 138309)),
+        ("table", (5386, 5548, 2670, 9392, 9392, 0, 107504)),
+        ("cycle", (5874, 6040, 2909, 9391, 9391, 4527, 138209)),
+    ])
+    def test_pinned_run(self, model, expected):
+        cosim = self._adaptive(build_cosim(self._fft(model), verify="off"))
+        assert self._stats(cosim.run()) == expected
+
+    def test_adaptive_lanes_share_a_batch(self):
+        # Each lane sizes its own windows, so the two lanes' boundaries
+        # part after the first window; each must still equal its solo run.
+        configs = [self._fft("simd"), self._fft("simd", seed=6).variant(app="water")]
+        solo = [self._adaptive(build_cosim(c, verify="off")).run() for c in configs]
+        batched = run_lanes([self._adaptive(c) for c in _batch_lanes(configs)], 5_000_000)
+        for lane, (got, want) in enumerate(zip(batched, solo)):
+            assert _result_sig(got) == _result_sig(want), f"lane {lane}"
+        assert batched[0].windows != batched[1].windows
 
 
 class TestLatencyAccounting:

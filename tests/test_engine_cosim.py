@@ -313,6 +313,35 @@ class TestRunCosimBatch:
         # than K independent runs would have made.
         assert batch.kernel_launches > 0
 
+    @staticmethod
+    def _assert_lanes_match_solo_runs(configs, max_cycles):
+        batch = run_cosim_batch(configs, max_cycles=max_cycles, verify="off")
+        for lane, config in enumerate(configs):
+            want = build_cosim(config, verify="off").run(max_cycles=max_cycles)
+            got = batch.results[lane]
+            assert _result_sig(got) == _result_sig(want), (max_cycles, lane)
+
+    @pytest.mark.parametrize("cut", [3105, 3106, 3109, 3111])
+    def test_unaligned_cut_while_a_lane_drains(self, cut):
+        # Lane 0 finishes at 3100 and drains to 3200 while lane 1 still
+        # runs: the main lane's cut at max_cycles must not cut the
+        # draining lane's windows.
+        configs = [
+            TargetConfig(width=4, height=4, app="water", seed=10, scale=0.05,
+                         network_model="simd", quantum=4),
+            TargetConfig(width=4, height=4, app="lu", seed=19, scale=0.08,
+                         network_model="simd", quantum=4),
+        ]
+        self._assert_lanes_match_solo_runs(configs, cut)
+
+    @pytest.mark.parametrize("cut", [5_000_000, 1001])
+    def test_mixed_quanta_match_individual_runs(self, cut):
+        configs = [
+            config.variant(quantum=quantum)
+            for config, quantum in zip(self._configs(), (1, 3, 4, 7))
+        ]
+        self._assert_lanes_match_solo_runs(configs, cut)
+
     def test_unbatchable_configs_rejected(self):
         configs = self._configs(2)
         bad = configs[1].variant(width=8)
@@ -347,4 +376,9 @@ class TestConfigsBatchable:
         a = TargetConfig(width=4, height=4, network_model="simd", seed=1)
         b = a.variant(seed=2, app="water", scale=0.5)
         ok, reason = configs_batchable([a, b])
+        assert ok, reason
+
+    def test_differing_quanta_ok(self):
+        a = TargetConfig(width=4, height=4, network_model="simd", quantum=1)
+        ok, reason = configs_batchable([a, a.variant(quantum=7)])
         assert ok, reason

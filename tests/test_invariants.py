@@ -131,7 +131,7 @@ class TestNetworkConservation:
     def test_cosim_detects_network_corruption(self):
         """End-to-end: corrupting the live NoC mid-run trips the checker."""
         cosim = build_cosim(small(), check_invariants=True)
-        original_advance = cosim._advance_network
+        original_advance = cosim._phase_advance
         state = {"corrupted": False}
 
         def corrupting(target):
@@ -140,6 +140,6 @@ class TestNetworkConservation:
                 state["corrupted"] = True
                 cosim.network.network.routers[0].credits[1][0] -= 1
 
-        cosim._advance_network = corrupting
+        cosim._phase_advance = corrupting
         with pytest.raises(InvariantError):
             cosim.run()
