@@ -50,16 +50,13 @@ def _default_allow_paths() -> Dict[str, Tuple[str, ...]]:
     # wall-clock reality end to end (Retry-After hints, service-time
     # quantiles, drain grace), and its accept/scheduler loops are
     # event-driven rather than cycle-bounded, so serve/* is the scoped
-    # home of both hazards.  The bench package *measures* host time —
-    # wall-clock readings are its product, not an accident.  Everything
-    # else must account for wall-clock reads or unbounded loops with an
-    # inline pragma.
+    # home of both hazards.  Everything else must account for wall-clock
+    # reads or unbounded loops with an inline pragma.
     return {
         "wall-clock": (
             "harness/*",
             "campaign/pool.py",
             "serve/*",
-            "bench/*",
             # chaos injects host-level faults (slow-commit delays, audit
             # round deadlines) — wall-clock is its subject matter.
             "chaos/*",

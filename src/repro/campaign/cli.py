@@ -83,11 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="snapshot period in synchronization windows (default: %(default)s)",
     )
     run.add_argument(
-        "--engine", default="auto", choices=["auto", "oo", "batched"],
-        help="engine request for engine-aware experiments (default: "
-        "%(default)s); changes no computation — provenance records what ran",
-    )
-    run.add_argument(
         "--resume", action="store_true",
         help="continue an existing campaign, skipping completed jobs",
     )
@@ -153,7 +148,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             retry_backoff=args.retry_backoff,
             checkpoint_dir=args.checkpoint_dir,
             checkpoint_every=args.checkpoint_every,
-            engine=args.engine,
         )
         summary = engine.run()
         print(summary.render())

@@ -122,11 +122,6 @@ class CampaignEngine:
             resumes from its last quantum-boundary snapshot instead of
             restarting from cycle 0.
         checkpoint_every: snapshot period in synchronization windows.
-        engine: engine request for engine-aware experiments
-            (``"auto"``/``"oo"``/``"batched"``, see :mod:`repro.engine.api`);
-            it changes no computation.  What each job actually ran on
-            lands in the store's ``engine``/``kernel_version`` provenance
-            columns.
     """
 
     def __init__(
@@ -142,12 +137,7 @@ class CampaignEngine:
         retry_backoff_cap: float = 60.0,
         checkpoint_dir: Optional[str] = None,
         checkpoint_every: int = 256,
-        engine: str = "auto",
     ) -> None:
-        if engine not in ("auto", "oo", "batched"):
-            raise ConfigError(
-                f"engine must be 'auto', 'oo', or 'batched', got {engine!r}"
-            )
         if retries < 0:
             raise ConfigError(f"retries must be >= 0, got {retries}")
         if retry_backoff < 0:
@@ -171,7 +161,6 @@ class CampaignEngine:
         self.retry_backoff_cap = retry_backoff_cap
         self.checkpoint_dir = checkpoint_dir
         self.checkpoint_every = checkpoint_every
-        self.engine = engine
 
     # -- helpers --------------------------------------------------------
     def _retry_delay(self, attempts: int) -> float:
@@ -191,8 +180,6 @@ class CampaignEngine:
                 "path": os.path.join(self.checkpoint_dir, f"{job.job_id}.ckpt"),
                 "every": self.checkpoint_every,
             }
-        if self.engine != "auto":
-            data["_engine"] = self.engine
         return data
 
     def run(self) -> CampaignSummary:

@@ -443,17 +443,19 @@ class CampaignSpec:
         return cls.from_dict(json.loads(text))
 
 
-def _run_engine_point(experiment: CampaignExperiment, spec: JobSpec, engine: str) -> dict:
-    """Run one engine-aware point and attach engine provenance.
+def _run_point(experiment: CampaignExperiment, spec: JobSpec) -> dict:
+    """Run one point; an engine-aware one also gets engine provenance.
 
     The ``_provenance`` key rides in the payload only as far as the store's
     ``mark_done``, which lifts it into dedicated columns — the canonical
     payload text stays byte-identical across engines.
     """
+    if not experiment.engine_aware:
+        return {"record": experiment.run_point(spec.point, spec.quick, spec.seed)}
     from ..core.config import build_cosim  # deferred: workers import lazily
 
     config = experiment.point_config(spec.point, spec.quick, spec.seed)
-    cosim = build_cosim(config, engine=engine)
+    cosim = build_cosim(config)
     record = experiment.point_record(cosim.run(), spec.point, spec.quick, spec.seed)
     payload = {"record": record}
     decision = getattr(cosim, "engine_decision", None)
@@ -479,9 +481,6 @@ def execute_job(job: dict) -> dict:
       :func:`repro.resilience.checkpoint.job_checkpoint` scope: the run
       snapshots periodically and, if a previous attempt was killed mid-run,
       resumes from its last snapshot instead of restarting from cycle 0.
-    - ``_engine`` is the engine request (``"auto"``/``"oo"``/``"batched"``)
-      handed to ``build_cosim`` for engine-aware experiments; it changes
-      no computation (see :mod:`repro.engine.api`) and others ignore it.
     - ``_batch_members`` (a list of job dicts) turns this into a synthetic
       batch job: every member runs as one lane of a shared kernel batch and
       the payload is ``{"_batch": [{"job_id", "payload"}, ...]}``.
@@ -489,24 +488,14 @@ def execute_job(job: dict) -> dict:
     if "_batch_members" in job:
         return execute_job_batch(job["_batch_members"])
     checkpoint = job.get("_checkpoint")
-    engine = job.get("_engine", "auto")
     spec = JobSpec.from_dict({k: v for k, v in job.items() if not k.startswith("_")})
     experiment = get_experiment(spec.eid)
-    if experiment.engine_aware:
-        if checkpoint:
-            from ..resilience.checkpoint import job_checkpoint  # deferred
+    if not checkpoint:
+        return _run_point(experiment, spec)
+    from ..resilience.checkpoint import job_checkpoint  # deferred
 
-            with job_checkpoint(checkpoint["path"], checkpoint["every"]):
-                return _run_engine_point(experiment, spec, engine)
-        return _run_engine_point(experiment, spec, engine)
-    if checkpoint:
-        from ..resilience.checkpoint import job_checkpoint  # deferred
-
-        with job_checkpoint(checkpoint["path"], checkpoint["every"]):
-            record = experiment.run_point(spec.point, spec.quick, spec.seed)
-    else:
-        record = experiment.run_point(spec.point, spec.quick, spec.seed)
-    return {"record": record}
+    with job_checkpoint(checkpoint["path"], checkpoint["every"]):
+        return _run_point(experiment, spec)
 
 
 def jobs_batchable(jobs: Sequence[dict]) -> Tuple[bool, str]:

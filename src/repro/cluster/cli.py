@@ -76,9 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
     start.add_argument("--retries", type=int, default=0)
     start.add_argument("--timeout", type=float, default=None)
     start.add_argument(
-        "--engine", default="auto", choices=["auto", "oo", "batched"],
-    )
-    start.add_argument(
         "--vnodes", type=int, default=DEFAULT_VNODES,
         help="virtual nodes per physical node (default: %(default)s)",
     )
@@ -132,7 +129,6 @@ def _cmd_start(args: argparse.Namespace) -> int:
         batch_max=args.batch_max,
         retries=args.retries,
         timeout=args.timeout,
-        engine=args.engine,
     )
     config = ClusterConfig(
         node_id=args.node_id,

@@ -12,8 +12,8 @@ share lanes.
 
 The caller's ``engine`` request changes no computation.  ``"batched"``
 raises the log level of a fallback to WARNING (the caller asked for
-speed it is not getting); ``"oo"`` is accepted (the perf ledger's
-reference cut passes it) and only tells ``serve`` not to coalesce lanes.
+speed it is not getting); ``"oo"`` is accepted because the perf ledger's
+reference cut passes it.  Nothing above ``build_cosim`` makes a request.
 """
 
 from __future__ import annotations

@@ -13,7 +13,6 @@ Examples::
     python -m repro resilience run --link-failures 2 --corrupt-rate 0.005
     python -m repro serve start --db serve.db --workers 4
     python -m repro cluster start --node-id a --port 9301 --peers 127.0.0.1:9302
-    python -m repro bench run --quick
     python -m repro chaos audit --mode campaign --torn-commits 1
 
 Results print as the same fixed-width tables the benchmark suite saves.
@@ -22,7 +21,7 @@ Results print as the same fixed-width tables the benchmark suite saves.
 build.
 
 Tool subcommands (``lint``, ``verify``, ``campaign``, ``resilience``,
-``serve``, ``cluster``, ``bench``, ``chaos``) each own their flags and dispatch through one registry,
+``serve``, ``cluster``, ``chaos``) each own their flags and dispatch through one registry,
 :data:`SUBCOMMANDS` — the single source of truth that the ``--help``
 epilog, the dispatcher, and the dispatch-agreement test all read, so a
 new subcommand cannot be wired into one and forgotten in another.
@@ -92,12 +91,6 @@ def _load_cluster() -> SubMain:
     return cluster_main
 
 
-def _load_bench() -> SubMain:
-    from ..bench.cli import main as bench_main
-
-    return bench_main
-
-
 def _load_chaos() -> SubMain:
     from ..chaos.cli import main as chaos_main
 
@@ -137,11 +130,6 @@ SUBCOMMANDS: Dict[str, Subcommand] = {
             "cluster",
             "sharded multi-node service (start/status/route a hash ring)",
             _load_cluster,
-        ),
-        Subcommand(
-            "bench",
-            "performance-trajectory benchmarks (run/compare BENCH_noc.json)",
-            _load_bench,
         ),
         Subcommand(
             "chaos",

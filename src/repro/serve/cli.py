@@ -86,11 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="in-memory cache entries in front of the SQLite tier",
     )
     start.add_argument(
-        "--engine", default="auto", choices=["auto", "oo", "batched"],
-        help="engine request for engine-aware jobs; changes no computation, "
-        "but unless 'oo', same-shape jobs dispatch as lanes of one batch",
-    )
-    start.add_argument(
         "--chaos-arm", default=None, metavar="JSON",
         help="arm a chaos schedule before serving: ChaosConfig keyword "
         'arguments as JSON, e.g. \'{"seed": 7, "crash_points": '
@@ -155,7 +150,6 @@ def _cmd_start(args: argparse.Namespace) -> int:
         checkpoint_dir=args.checkpoint_dir,
         checkpoint_every=args.checkpoint_every,
         lru_size=args.lru_size,
-        engine=args.engine,
     )
     state = None
     if args.chaos_arm is not None:

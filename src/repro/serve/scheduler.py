@@ -57,7 +57,13 @@ class Scheduler:
         cache: the result cache / job store.
         metrics: the daemon's metric registry.
         workers: pool concurrency.
-        batch_max: max jobs coalesced into one dispatch round.
+        batch_max: max jobs coalesced into one dispatch round.  Same-shape
+            engine-aware jobs meeting in one round run as lanes of a single
+            batched kernel invocation, but only after
+            :func:`repro.campaign.spec.jobs_batchable` confirms the engine
+            supports the shared shape; refused groups fall back to
+            individual dispatch (counted in
+            ``repro_serve_engine_fallback_total``).
         retries: extra attempts per failed/timed-out job.
         timeout: per-job wall-clock budget in seconds (None: unlimited).
         checkpoint_dir: give each job a resilience-layer checkpoint file
@@ -72,15 +78,6 @@ class Scheduler:
             the frontier answers 503.
         breaker_cooldown_s: how long the breaker stays open before a
             single half-open probe dispatch is allowed.
-        engine: engine request for engine-aware jobs
-            (``"auto"``/``"oo"``/``"batched"``); it changes no computation
-            (see :mod:`repro.engine.api`), only the dispatch shape.  Unless
-            ``"oo"``, same-shape engine-aware jobs meeting in one dispatch
-            round run as lanes of a single batched kernel invocation —
-            but only after :func:`repro.campaign.spec.jobs_batchable`
-            confirms the engine supports the shared shape; refused groups
-            fall back to individual dispatch (counted in
-            ``repro_serve_engine_fallback_total``).
     """
 
     def __init__(
@@ -97,16 +94,11 @@ class Scheduler:
         start_method: Optional[str] = None,
         breaker_threshold: int = 5,
         breaker_cooldown_s: float = 10.0,
-        engine: str = "auto",
     ) -> None:
         if batch_max < 1:
             raise ConfigError(f"batch_max must be >= 1, got {batch_max}")
         if retries < 0:
             raise ConfigError(f"retries must be >= 0, got {retries}")
-        if engine not in ("auto", "oo", "batched"):
-            raise ConfigError(
-                f"engine must be 'auto', 'oo', or 'batched', got {engine!r}"
-            )
         self.queue = queue
         self.cache = cache
         self.metrics = metrics
@@ -114,7 +106,6 @@ class Scheduler:
         self.batch_max = batch_max
         self.checkpoint_dir = checkpoint_dir
         self.checkpoint_every = checkpoint_every
-        self.engine = engine
         self._pool = WorkerPool(
             workers=workers, timeout=timeout, start_method=start_method
         )
@@ -389,8 +380,6 @@ class Scheduler:
                 "path": os.path.join(self.checkpoint_dir, f"{spec.job_id}.ckpt"),
                 "every": self.checkpoint_every,
             }
-        if self.engine != "auto":
-            data["_engine"] = self.engine
         return data
 
     # -- kernel batching ------------------------------------------------
@@ -410,9 +399,7 @@ class Scheduler:
         formed when the engine layer confirms every member's config can
         share one batch — the scheduler never guesses shape support.
         """
-        if self.engine == "oo" or self.checkpoint_dir is not None:
-            return None
-        if entry.job_id in self._no_batch:
+        if self.checkpoint_dir is not None or entry.job_id in self._no_batch:
             return None
         # Buffer mutation is scheduler-thread-only, so the peeked
         # companions stay valid until the removal below; the lock only
@@ -558,7 +545,7 @@ class Scheduler:
                 member["job_id"]: member["payload"]
                 for member in outcome.payload.get("_batch", [])
             }
-            for queued in members:
+            for index, queued in enumerate(members):
                 payload = payloads.get(queued.job_id)
                 if payload is None:  # pragma: no cover - engine returns all
                     self.cache.mark_failed(
@@ -566,13 +553,21 @@ class Scheduler:
                         outcome.wall_s, requeue=False,
                     )
                     continue
-                self.cache.commit(queued.job_id, payload, outcome.wall_s)
+                try:
+                    self.cache.commit(queued.job_id, payload, outcome.wall_s)
+                except StoreIOError:
+                    # As in _handle_outcome: re-buffer this member and
+                    # every one not yet committed, so none is left
+                    # ``running`` and untracked, then let _run_once count
+                    # the store error.
+                    for pending in members[index:]:
+                        self._requeue_entry(pending.job_id, pending)
+                    raise
+                self.metrics.inc(
+                    f"{PREFIX}_jobs_completed_total",
+                    "Jobs that finished successfully and entered the cache.",
+                )
             self.breaker.record_success()
-            self.metrics.inc(
-                f"{PREFIX}_jobs_completed_total",
-                "Jobs that finished successfully and entered the cache.",
-                amount=float(len(members)),
-            )
             self.metrics.observe_service_time(outcome.wall_s)
             return
         self.metrics.inc(

@@ -99,8 +99,6 @@ class ServeConfig:
     checkpoint_every: int = 256
     lru_size: int = 256
     start_method: Optional[str] = None
-    #: NoC execution engine hint for engine-aware jobs (see repro.engine)
-    engine: str = "auto"
     #: fallback Retry-After before any service time has been observed (s)
     retry_after_floor_s: float = 2.0
     #: consecutive infrastructure failures that trip the dispatch breaker
@@ -139,7 +137,6 @@ class ServeDaemon:
             start_method=config.start_method,
             breaker_threshold=config.breaker_threshold,
             breaker_cooldown_s=config.breaker_cooldown_s,
-            engine=config.engine,
         )
         self.port: Optional[int] = None
         self._draining = threading.Event()

@@ -146,19 +146,6 @@ class TestProvenanceLifting:
 
 
 class TestExecuteJobEngine:
-    def test_engine_hint_respected_and_payloads_identical(self):
-        spec = _spec()
-        auto = execute_job(spec.to_dict())
-        pinned = execute_job({**spec.to_dict(), "_engine": "oo"})
-        # the hint changes no computation, and provenance says what ran
-        assert auto["_provenance"] == pinned["_provenance"] == {
-            "engine": "batched", "kernel_version": KERNEL_VERSION,
-        }
-        strip = lambda p: {k: v for k, v in p.items() if k != "_provenance"}
-        assert json.dumps(strip(auto), sort_keys=True) == json.dumps(
-            strip(pinned), sort_keys=True
-        )
-
     def test_legacy_experiment_has_no_provenance(self):
         payload = execute_job(
             JobSpec(eid="demo", point_index=0, point=[0], quick=True,
@@ -199,26 +186,3 @@ class TestExecuteJobEngine:
             {"_batch_members": [s.to_dict() for s in specs]}
         )
         assert len(via_wrapper["_batch"]) == 2
-
-
-class TestCampaignEngineOption:
-    def test_bad_engine_rejected(self):
-        from repro.campaign.engine import CampaignEngine
-
-        with ResultStore(":memory:") as store:
-            with pytest.raises(ConfigError, match="engine"):
-                CampaignEngine(store, engine="warp")
-
-    def test_engine_hint_in_job_dict(self, tmp_path):
-        from repro.campaign.engine import CampaignEngine
-        from repro.campaign.spec import CampaignSpec
-
-        with ResultStore(str(tmp_path / "c.db")) as store:
-            store.initialize(
-                CampaignSpec(experiments=["demo-noc"], quick=True, seed=1)
-            )
-            engine = CampaignEngine(store, progress=False, engine="oo")
-            row = store.pending_jobs()[0]
-            assert engine._job_dict(row)["_engine"] == "oo"
-            auto = CampaignEngine(store, progress=False)
-            assert "_engine" not in auto._job_dict(row)

@@ -86,8 +86,7 @@ class TestSubcommandRegistry:
     another."""
 
     EXPECTED = {
-        "lint", "verify", "campaign", "resilience", "serve", "bench", "chaos",
-        "cluster",
+        "lint", "verify", "campaign", "resilience", "serve", "chaos", "cluster",
     }
 
     def test_table_names_every_tool(self):

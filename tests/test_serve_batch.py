@@ -12,6 +12,7 @@ import pytest
 
 from repro.campaign.spec import JobSpec, execute_job
 from repro.engine.api import KERNEL_VERSION
+from repro.errors import StoreIOError
 from repro.serve.cache import ResultCache
 from repro.serve.metrics import PREFIX, Metrics
 from repro.serve.queuein import AdmissionQueue, QueuedJob
@@ -126,8 +127,10 @@ class TestBatchingGates:
             scheduler._pool.shutdown()
         assert metrics.counter_total(f"{PREFIX}_jobs_completed_total") == 2
 
-    def test_engine_oo_pins_individual_dispatch(self, tmp_path):
-        scheduler, cache, metrics = _make_scheduler(tmp_path, engine="oo")
+    def test_checkpointing_disables_batching(self, tmp_path):
+        scheduler, cache, metrics = _make_scheduler(
+            tmp_path, checkpoint_dir=str(tmp_path / "ckpt")
+        )
         specs = _demo_noc_jobs(2)
         try:
             entries = _admit(scheduler, cache, specs)
@@ -141,21 +144,10 @@ class TestBatchingGates:
         # Individual engine-aware dispatches still chart as lanes=1.
         assert metrics.histogram_count(f"{PREFIX}_engine_batch_size") == 2
         assert metrics.histogram_sum(f"{PREFIX}_engine_batch_size") == 2.0
-        # "oo" pins the dispatch shape, not the kernels: provenance says
-        # what ran, and there is one 'simd' implementation.
+        # Provenance says what ran: there is one 'simd' implementation.
         for spec in specs:
             row = cache.job_row(spec.job_id)
             assert (row.engine, row.kernel_version) == ("batched", KERNEL_VERSION)
-
-    def test_checkpointing_disables_batching(self, tmp_path):
-        scheduler, cache, _ = _make_scheduler(
-            tmp_path, checkpoint_dir=str(tmp_path / "ckpt")
-        )
-        try:
-            entries = _admit(scheduler, cache, _demo_noc_jobs(2))
-            assert scheduler._take_batch_group(entries[0]) is None
-        finally:
-            scheduler._pool.shutdown()
 
     def test_lone_job_has_no_companions(self, tmp_path):
         scheduler, cache, _ = _make_scheduler(tmp_path)
@@ -266,9 +258,42 @@ class TestBatchFailureDemotion:
         assert not scheduler._batches and not scheduler.running_ids()
 
 
-class TestEngineValidation:
-    def test_unknown_engine_rejected(self, tmp_path):
-        from repro.errors import ConfigError
+class TestBatchCommitRefused:
+    def test_refused_commit_rebuffers_uncommitted_members(
+        self, tmp_path, monkeypatch
+    ):
+        """The store refusing one member's commit must not orphan the
+        members after it: each is either done or back with the scheduler,
+        and a further drain finishes all of them byte-identically."""
+        scheduler, cache, metrics = _make_scheduler(tmp_path, batch_max=8)
+        specs = _demo_noc_jobs(4)
+        commit = cache.commit
+        calls = []
 
-        with pytest.raises(ConfigError, match="engine"):
-            _make_scheduler(tmp_path, engine="warp")
+        def refuse_second(job_id, payload, wall_s):
+            calls.append(job_id)
+            if len(calls) == 2:
+                raise StoreIOError("disk full")
+            return commit(job_id, payload, wall_s)
+
+        monkeypatch.setattr(cache, "commit", refuse_second)
+        try:
+            _admit(scheduler, cache, specs)
+            scheduler._fill_pool()
+            assert len(scheduler._batches) == 1
+            with pytest.raises(StoreIOError):
+                _drain(scheduler)
+            for spec in specs:
+                assert (
+                    cache.job_row(spec.job_id).status == "done"
+                    or scheduler.is_tracked(spec.job_id)
+                ), spec.job_id
+            _drain(scheduler)
+        finally:
+            scheduler._pool.shutdown()
+        assert metrics.counter_total(f"{PREFIX}_jobs_completed_total") == 4
+        for spec in specs:
+            assert cache.job_row(spec.job_id).status == "done"
+            single = execute_job(spec.to_dict())
+            single.pop("_provenance", None)
+            assert cache.lookup(spec.job_id) == json.dumps(single, sort_keys=True)

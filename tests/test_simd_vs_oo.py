@@ -7,6 +7,8 @@ live reference the vectorised kernels of ``repro.engine`` are held to
 (``docs/simd-network.md`` states the bounds as identities).
 """
 
+import random
+
 import pytest
 
 from repro.noc import CycleNetwork, Mesh, NocConfig, Packet
@@ -87,22 +89,46 @@ class TestSaturationAgreement:
         assert simd.mean_latency == pytest.approx(oo.mean_latency, rel=0.2)
 
 
+def _pinned_schedule(num_nodes, cycles, per_cycle, seed):
+    """A deterministic ``(cycle, src, dst, size)`` injection schedule."""
+    rng = random.Random(seed)
+    schedule = []
+    for cycle in range(cycles):
+        for _ in range(per_cycle):
+            src = rng.randrange(num_nodes)
+            dst = rng.randrange(num_nodes)
+            if dst != src:
+                schedule.append((cycle, src, dst, rng.choice((1, 5))))
+    return schedule
+
+
+def _delivered(network, schedule, cycles):
+    """Inject ``schedule`` cycle by cycle; the packets delivered in ``cycles``."""
+    index = delivered = 0
+    for cycle in range(cycles):
+        while index < len(schedule) and schedule[index][0] == cycle:
+            _, src, dst, size = schedule[index]
+            network.inject(
+                Packet(src=src, dst=dst, size_flits=size, msg_class=0,
+                       inject_cycle=cycle),
+                cycle,
+            )
+            index += 1
+        network.step()
+        delivered += len(network.pop_delivered())
+    return delivered
+
+
 class TestPinnedScheduleBound:
     def test_bench_schedule_deliveries_within_half_a_percent(self):
-        """The "vectorised ≈ OO" identity on ``repro.bench``'s pinned 16x16
-        schedule: the two simulators deliver the same packets over the
-        same window to within 0.5 % (5409 vs 5403 when this was written;
-        lock-step grant timing may differ by a cycle, see the kernels)."""
-        from repro.bench.harness import (
-            _KERNEL_FULL,
-            PINNED_SEED,
-            _drive,
-            _traffic_schedule,
-        )
-
-        side, cycles, per_cycle = _KERNEL_FULL
-        schedule = _traffic_schedule(side * side, cycles, per_cycle, PINNED_SEED)
-        _, oo = _drive(CycleNetwork(Mesh(side, side), NocConfig()), schedule, cycles)
-        _, simd = _drive(SimdNetwork(Mesh(side, side), NocConfig()), schedule, cycles)
+        """The "vectorised ≈ OO" identity on a pinned 16x16 schedule (400
+        cycles, 16 packets a cycle, seed 42): the two simulators deliver
+        the same packets over the same window to within 0.5 % (5409 vs
+        5403 when this was written; lock-step grant timing may differ by a
+        cycle, see the kernels)."""
+        side, cycles = 16, 400
+        schedule = _pinned_schedule(side * side, cycles, 16, seed=42)
+        oo = _delivered(CycleNetwork(Mesh(side, side), NocConfig()), schedule, cycles)
+        simd = _delivered(SimdNetwork(Mesh(side, side), NocConfig()), schedule, cycles)
         assert oo > 5000  # the window is loaded, not idle
         assert simd == pytest.approx(oo, rel=0.005)
