@@ -55,22 +55,26 @@ _protocol_cache: Dict[int, VerifyReport] = {}
 
 
 def verify_noc(topo: Topology, routing_name: str, noc: NocConfig) -> VerifyReport:
-    """Memoized :func:`check_network` keyed on what determines the CDG."""
+    """Memoized :func:`check_network` keyed on what determines the CDG.
+
+    Returns a copy, so a caller that extends it cannot change the verdict
+    later callers see.
+    """
     key = (repr(topo), routing_name, noc.num_vcs, noc.vc_select)
     report = _network_cache.get(key)
     if report is None:
         report = check_network(topo, make_routing(routing_name), noc)
         _network_cache[key] = report
-    return report
+    return report.copy()
 
 
 def verify_protocol(num_cores: int = 2) -> VerifyReport:
-    """Memoized :func:`check_protocol` for the shipped tables."""
+    """Memoized :func:`check_protocol` for the shipped tables (a copy)."""
     report = _protocol_cache.get(num_cores)
     if report is None:
         report = check_protocol(num_cores=num_cores)
         _protocol_cache[num_cores] = report
-    return report
+    return report.copy()
 
 
 def verify_target_config(config, num_cores: int = 2) -> List[VerifyReport]:

@@ -19,6 +19,17 @@ emits outside its row's ``emits`` or lands outside ``next_states`` is a
 Deliveries are unordered (any in-flight message may arrive next), which
 over-approximates every network the co-simulator can be configured with.
 
+The search is breadth-first over states held as tuples of small ints: a
+home id, one id per core and the id of the in-flight message multiset,
+numbered per check.  Many states share a home, a core or a multiset, so
+each transition is computed once per distinct input and then looked up:
+a delivery (refusals included) on (message, receiver), multiset removal
+and addition on (multiset, messages), a core's spontaneous moves on
+(core index, core) and the L2 drop on the home.  Action text is only
+formatted for a printed trace.  Every table belongs to one call of
+:func:`check_protocol` and is dropped with it, so a broken table under
+test never leaks into the next check.
+
 Checked properties:
 
 * **SWMR** — no reachable state has a Modified copy coexisting with any
@@ -37,7 +48,17 @@ Checked properties:
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Set,
+    Tuple,
+    Union,
+)
 
 from ..errors import ConfigError
 from ..fullsys.coherence import (
@@ -95,6 +116,11 @@ CoreState = Tuple[str, Optional[tuple], str]
 HomeState = Tuple[str, Optional[int], FrozenSet[int], Optional[tuple], tuple, str]
 # Global: (home, cores, msgs) with msgs a sorted ((msg, count), ...) tuple.
 State = Tuple[HomeState, Tuple[CoreState, ...], tuple]
+# The same state as the search holds it: (home id, one id per core, flight
+# id), numbered per check; a flight is a msgs multiset.
+Ids = Tuple[int, ...]
+# A step of a trace: the message delivered, or the text of a spontaneous move.
+Action = Union[Msg, str]
 
 Table = Dict[Tuple[str, str], TransitionSpec]
 
@@ -421,125 +447,121 @@ def _mem_deliver(msg: Msg, table: Table) -> List[Msg]:
 # ---------------------------------------------------------------------------
 # Spontaneous (non-message) transitions
 # ---------------------------------------------------------------------------
-def _spontaneous(state: State) -> List[Tuple[str, State]]:
-    home, cores, msgs = state
-    succs: List[Tuple[str, State]] = []
-
-    def with_core(i: int, core: CoreState, extra: Iterable[Msg]) -> State:
-        return (
-            home,
-            cores[:i] + (core,) + cores[i + 1 :],
-            _msgs_add(msgs, extra),
-        )
-
-    for i, core in enumerate(cores):
-        base, mshr, evict = core
-        if mshr is None:
-            if base == CacheLabel.I:
-                for is_write, name in ((False, "load"), (True, "store")):
-                    new_mshr = (is_write, is_write, evict != EV_NONE, False, None, 0)
-                    sends: List[Msg] = []
-                    if evict == EV_NONE:
-                        kind = MessageKind.GETX if is_write else MessageKind.GETS
-                        sends.append(_mk(kind, i, HOME, i))
-                        action = f"core {i}: {name} miss ({kind} -> home)"
-                    else:
-                        action = f"core {i}: {name} miss deferred behind PutM"
-                    succs.append(
-                        (action, with_core(i, (base, new_mshr, evict), sends))
-                    )
-            elif base == CacheLabel.S:
-                succs.append(
-                    (
-                        f"core {i}: upgrade store ({MessageKind.GETX} -> home)",
-                        with_core(
-                            i,
-                            (base, (True, True, False, False, None, 0), evict),
-                            [_mk(MessageKind.GETX, i, HOME, i)],
-                        ),
-                    )
+def _core_moves(i: int, core: CoreState) -> List[Tuple[str, CoreState, List[Msg]]]:
+    """Core ``i``'s moves that no message triggers: (action, core, sends)."""
+    base, mshr, evict = core
+    moves: List[Tuple[str, CoreState, List[Msg]]] = []
+    if mshr is None:
+        if base == CacheLabel.I:
+            for is_write, name in ((False, "load"), (True, "store")):
+                new_mshr = (is_write, is_write, evict != EV_NONE, False, None, 0)
+                sends: List[Msg] = []
+                if evict == EV_NONE:
+                    kind = MessageKind.GETX if is_write else MessageKind.GETS
+                    sends.append(_mk(kind, i, HOME, i))
+                    action = f"core {i}: {name} miss ({kind} -> home)"
+                else:
+                    action = f"core {i}: {name} miss deferred behind PutM"
+                moves.append((action, (base, new_mshr, evict), sends))
+        elif base == CacheLabel.S:
+            moves.append(
+                (
+                    f"core {i}: upgrade store ({MessageKind.GETX} -> home)",
+                    (base, (True, True, False, False, None, 0), evict),
+                    [_mk(MessageKind.GETX, i, HOME, i)],
                 )
-                succs.append(
-                    (
-                        f"core {i}: silent Shared drop",
-                        with_core(i, (CacheLabel.I, None, evict), []),
-                    )
-                )
-            elif base == CacheLabel.M:
-                succs.append(
-                    (
-                        f"core {i}: evict Modified ({MessageKind.PUTM} -> home)",
-                        with_core(
-                            i,
-                            (CacheLabel.I, None, EV_SHADOW),
-                            [_mk(MessageKind.PUTM, i, HOME, i)],
-                        ),
-                    )
-                )
-        else:
-            rw, ww, deferred, datar, acks_e, acks_r = mshr
-            if not ww:
-                # A store coalesces into the outstanding read miss; if the
-                # request is still deferred it upgrades in place.
-                new_rw = True if deferred else rw
-                succs.append(
-                    (
-                        f"core {i}: store coalesces into outstanding miss",
-                        with_core(
-                            i,
-                            (base, (new_rw, True, deferred, datar, acks_e, acks_r), evict),
-                            [],
-                        ),
-                    )
-                )
-    # L2 capacity eviction at the home (a fill of some other line victimizes
-    # this one): silent for clean lines, a memory writeback for dirty ones.
-    # The writeback is absorbed at emission: memory consumes MemWB with no
-    # response or state change, so keeping it in flight would only let its
-    # multiplicity grow without bound (the state space must stay finite).
-    # Its table row is validated once in check_protocol instead.
-    dir_state, owner, sharers, active, pending, l2 = home
-    if l2 == L2_VALID:
-        succs.append(
-            (
-                "home: L2 drops clean copy",
-                ((dir_state, owner, sharers, active, pending, L2_ABSENT), cores, msgs),
             )
-        )
-    elif l2 == L2_DIRTY:
-        succs.append(
+            moves.append(
+                (f"core {i}: silent Shared drop", (CacheLabel.I, None, evict), [])
+            )
+        elif base == CacheLabel.M:
+            moves.append(
+                (
+                    f"core {i}: evict Modified ({MessageKind.PUTM} -> home)",
+                    (CacheLabel.I, None, EV_SHADOW),
+                    [_mk(MessageKind.PUTM, i, HOME, i)],
+                )
+            )
+    else:
+        rw, ww, deferred, datar, acks_e, acks_r = mshr
+        if not ww:
+            # A store coalesces into the outstanding read miss; if the
+            # request is still deferred it upgrades in place.
+            new_rw = True if deferred else rw
+            moves.append(
+                (
+                    f"core {i}: store coalesces into outstanding miss",
+                    (base, (new_rw, True, deferred, datar, acks_e, acks_r), evict),
+                    [],
+                )
+            )
+    return moves
+
+
+def _l2_drop(home: HomeState) -> List[Tuple[str, HomeState]]:
+    """The home's L2 capacity eviction, if it holds the line: (action, home).
+
+    A fill of some other line victimizes this one: silent for clean lines,
+    a memory writeback for dirty ones.  The writeback is absorbed at
+    emission: memory consumes MemWB with no response or state change, so
+    keeping it in flight would only let its multiplicity grow without
+    bound (the state space must stay finite).  Its table row is validated
+    once in check_protocol instead.
+    """
+    dir_state, owner, sharers, active, pending, l2 = home
+    dropped = (dir_state, owner, sharers, active, pending, L2_ABSENT)
+    if l2 == L2_VALID:
+        return [("home: L2 drops clean copy", dropped)]
+    if l2 == L2_DIRTY:
+        return [
             (
                 f"home: L2 drops dirty copy ({MessageKind.MEM_WB} -> memory, absorbed)",
-                (
-                    (dir_state, owner, sharers, active, pending, L2_ABSENT),
-                    cores,
-                    msgs,
-                ),
+                dropped,
             )
-        )
-    return succs
+        ]
+    return []
 
 
 # ---------------------------------------------------------------------------
 # The explorer
 # ---------------------------------------------------------------------------
+class _Numbering:
+    """Distinct values of one kind, numbered in order of first sight.
+
+    Each check makes its own: a number means nothing outside that check.
+    """
+
+    __slots__ = ("values", "_ids")
+
+    def __init__(self) -> None:
+        self.values: list = []
+        self._ids: dict = {}
+
+    def __call__(self, value) -> int:
+        number = self._ids.get(value)
+        if number is None:
+            number = self._ids[value] = len(self.values)
+            self.values.append(value)
+        return number
+
+
+def _position(dst) -> Optional[int]:
+    """Where a message's receiver sits in an :data:`Ids` state."""
+    if dst == HOME:
+        return 0
+    if dst == MEM:
+        return None
+    return 1 + dst
+
+
 def _initial_state(num_cores: int) -> State:
     home: HomeState = (IDLE, None, frozenset(), None, (), L2_ABSENT)
     cores = tuple((CacheLabel.I, None, EV_NONE) for _ in range(num_cores))
     return (home, cores, ())
 
 
-def _is_quiescent(state: State) -> bool:
-    home, cores, msgs = state
-    if msgs:
-        return False
-    if home[0] != IDLE or home[4]:
-        return False
-    return all(mshr is None and evict == EV_NONE for _b, mshr, evict in cores)
-
-
-def _swmr_violation(state: State) -> Optional[str]:
-    bases = [core[0] for core in state[1]]
+def _swmr_violation(cores: Iterable[CoreState]) -> Optional[str]:
+    bases = [core[0] for core in cores]
     owners = [i for i, b in enumerate(bases) if b == CacheLabel.M]
     if not owners:
         return None
@@ -575,21 +597,29 @@ def _describe_state(state: State) -> str:
     return "\n".join(parts)
 
 
+def _action_text(action: Action) -> str:
+    if isinstance(action, str):
+        return action
+    return f"deliver {_msg_str(action)}"
+
+
 def _trace(
-    parents: Dict[State, Optional[Tuple[State, str]]], state: State
+    parents: Dict[Ids, Optional[Tuple[Ids, Action]]],
+    state: Ids,
+    decode: Callable[[Ids], State],
 ) -> str:
     steps: List[str] = []
-    cur: Optional[State] = state
-    while cur is not None:
+    cur = state
+    while True:
         link = parents[cur]
         if link is None:
             break
         cur, action = link
-        steps.append(action)
+        steps.append(_action_text(action))
     steps.reverse()
     lines = [f"{i + 1}. {s}" for i, s in enumerate(steps)]
     lines.append("reached:")
-    lines.append(_describe_state(state))
+    lines.append(_describe_state(decode(state)))
     return "\n".join(lines)
 
 
@@ -622,7 +652,7 @@ def check_protocol(
     subject = f"directory protocol (1 line, {num_cores} cachers, 1 home)"
     report = VerifyReport(subject=subject)
 
-    # MemWB deliveries are absorbed at emission (see _spontaneous); its
+    # MemWB deliveries are absorbed at emission (see _l2_drop); its
     # specification row is checked here instead of during exploration.
     if (MEMORY_READY, MessageKind.MEM_WB) not in mem_table:
         report.findings.append(
@@ -636,56 +666,157 @@ def check_protocol(
             )
         )
 
-    init = _initial_state(num_cores)
-    parents: Dict[State, Optional[Tuple[State, str]]] = {init: None}
+    # The search holds a state as small ints — (home id, one id per core,
+    # flight id), a flight being the multiset of messages in flight — all
+    # numbered for this check only.  Each transition is computed once per
+    # distinct input and read from a table after that.
+    homes, cores, messages, flights = (_Numbering() for _ in range(4))
+    #: flight id -> ((message id, position of its receiver in a state), ...);
+    #: memory holds no state, so its position is None
+    offered: List[Tuple[Tuple[int, Optional[int]], ...]] = []
+    #: (message id, receiver id or -1 for memory) -> (receiver id, sent
+    #: message ids, None), or (-1, (), the _CheckError that refuses it)
+    delivered: Dict[Tuple[int, int], tuple] = {}
+    #: (flight id, message id) -> flight id with one copy of it gone
+    removed: Dict[Tuple[int, int], int] = {}
+    #: (flight id, sent message ids) -> flight id with those added
+    added: Dict[Tuple[int, Tuple[int, ...]], int] = {}
+    #: (position, core id) -> [(action, core id, sent message ids), ...]
+    moves: Dict[Tuple[int, int], list] = {}
+    #: home id -> [(action, home id)], empty while the L2 holds no copy
+    drops: Dict[int, list] = {}
+    #: core ids -> (SWMR violation or None, whether every core is quiet)
+    core_facts: Dict[Ids, Tuple[Optional[str], bool]] = {}
+
+    def flight_id(flight: tuple) -> int:
+        number = flights(flight)
+        if number == len(offered):
+            offered.append(
+                tuple((messages(m), _position(m[2])) for m, _n in flight)
+            )
+        return number
+
+    def deliver(m: int, receiver: int):
+        msg = messages.values[m]
+        dst = msg[2]
+        try:
+            if dst == HOME:
+                new_home, out = _home_deliver(
+                    homes.values[receiver], msg, dir_table
+                )
+                receiver = homes(new_home)
+            elif dst == MEM:
+                out = _mem_deliver(msg, mem_table)
+            else:
+                new_core, out = _core_deliver(
+                    cores.values[receiver], dst, msg, cch_table
+                )
+                receiver = cores(new_core)
+        except _CheckError as err:
+            # without its traceback, whose frames would tie the tables to
+            # this call in a cycle that outlives it
+            return -1, (), err.with_traceback(None)
+        return receiver, tuple(messages(o) for o in out), None
+
+    def add(flight: int, sent: Tuple[int, ...]) -> int:
+        new = [messages.values[m] for m in sent]
+        return flight_id(_msgs_add(flights.values[flight], new))
+
+    def core_moves(pos: int, core: int) -> list:
+        return [
+            (action, cores(after), tuple(messages(s) for s in sends))
+            for action, after, sends in _core_moves(pos - 1, cores.values[core])
+        ]
+
+    def facts(ids: Ids) -> Tuple[Optional[str], bool]:
+        states = [cores.values[c] for c in ids]
+        quiet = all(mshr is None and ev == EV_NONE for _b, mshr, ev in states)
+        return _swmr_violation(states), quiet
+
+    def decode(state: Ids) -> State:
+        return (
+            homes.values[state[0]],
+            tuple(cores.values[c] for c in state[1:-1]),
+            flights.values[state[-1]],
+        )
+
+    home0, cores0, msgs0 = _initial_state(num_cores)
+    init: Ids = (homes(home0), *(cores(c) for c in cores0), flight_id(msgs0))
+    empty = init[-1]
+    parents: Dict[Ids, Optional[Tuple[Ids, Action]]] = {init: None}
     queue: deque = deque([init])
     #: reverse delivery-only adjacency, for the drain check
-    rev_delivery: Dict[State, List[State]] = {}
-    quiescent: List[State] = [init]
+    rev_delivery: Dict[Ids, List[Ids]] = {}
+    quiescent: List[Ids] = [init]
     seen_findings: Set[Tuple[str, str]] = set()
     truncated = False
 
-    def add_finding(check: str, summary: str, state: State, action: str) -> None:
+    def add_finding(
+        check: str, summary: str, state: Ids, action: Optional[Action]
+    ) -> None:
         key = (check, summary)
         if key in seen_findings or len(report.findings) >= max_findings:
             return
         seen_findings.add(key)
-        details = _trace(parents, state)
-        if action:
-            details = f"after: {action}\n{details}"
+        details = _trace(parents, state, decode)
+        if action is not None:
+            details = f"after: {_action_text(action)}\n{details}"
         report.findings.append(Finding(check=check, summary=summary, details=details))
 
+    core_positions = range(1, num_cores + 1)
+    message_values = messages.values
     while queue:
         state = queue.popleft()
-        home, cores, msgs = state
+        flight = state[-1]
 
-        successors: List[Tuple[str, State, bool]] = []
-        for msg, _count in msgs:
-            action = f"deliver {_msg_str(msg)}"
-            kind, _src, dst, _requester, _acks = msg
-            remaining = _msgs_remove(msgs, msg)
-            try:
-                if dst == HOME:
-                    new_home, out = _home_deliver(home, msg, dir_table)
-                    succ: State = (new_home, cores, _msgs_add(remaining, out))
-                elif dst == MEM:
-                    out = _mem_deliver(msg, mem_table)
-                    succ = (home, cores, _msgs_add(remaining, out))
-                else:
-                    new_core, out = _core_deliver(
-                        cores[dst], dst, msg, cch_table
-                    )
-                    succ = (
-                        home,
-                        cores[:dst] + (new_core,) + cores[dst + 1 :],
-                        _msgs_add(remaining, out),
-                    )
-            except _CheckError as err:
-                add_finding(err.check, err.summary, state, action)
+        successors: List[Tuple[Action, Ids, bool]] = []
+        for m, pos in offered[flight]:
+            receiver = -1 if pos is None else state[pos]
+            result = delivered.get((m, receiver))
+            if result is None:
+                result = delivered[(m, receiver)] = deliver(m, receiver)
+            receiver, sent, refusal = result
+            if refusal is not None:
+                add_finding(
+                    refusal.check, refusal.summary, state, message_values[m]
+                )
                 continue
-            successors.append((action, succ, True))
-        for action, succ in _spontaneous(state):
-            successors.append((action, succ, False))
+            rest = removed.get((flight, m))
+            if rest is None:
+                rest = removed[(flight, m)] = flight_id(
+                    _msgs_remove(flights.values[flight], message_values[m])
+                )
+            if sent:
+                key = (rest, sent)
+                rest = added.get(key)
+                if rest is None:
+                    rest = added[key] = add(*key)
+            if pos is None:
+                succ = state[:-1] + (rest,)
+            else:
+                succ = state[:pos] + (receiver,) + state[pos + 1 : -1] + (rest,)
+            successors.append((message_values[m], succ, True))
+        for pos in core_positions:
+            key = (pos, state[pos])
+            options = moves.get(key)
+            if options is None:
+                options = moves[key] = core_moves(*key)
+            for action, core, sent in options:
+                after = flight
+                if sent:
+                    after = added.get((flight, sent))
+                    if after is None:
+                        after = added[(flight, sent)] = add(flight, sent)
+                succ = state[:pos] + (core,) + state[pos + 1 : -1] + (after,)
+                successors.append((action, succ, False))
+        options = drops.get(state[0])
+        if options is None:
+            options = drops[state[0]] = [
+                (action, homes(home))
+                for action, home in _l2_drop(homes.values[state[0]])
+            ]
+        for action, home in options:
+            successors.append((action, (home,) + state[1:], False))
 
         for action, succ, is_delivery in successors:
             if is_delivery:
@@ -696,11 +827,17 @@ def check_protocol(
                 truncated = True
                 continue
             parents[succ] = (state, action)
-            violation = _swmr_violation(succ)
+            ids = succ[1:-1]
+            fact = core_facts.get(ids)
+            if fact is None:
+                fact = core_facts[ids] = facts(ids)
+            violation, quiet = fact
             if violation is not None:
-                add_finding("swmr", f"SWMR violated: {violation}", succ, "")
-            if _is_quiescent(succ):
-                quiescent.append(succ)
+                add_finding("swmr", f"SWMR violated: {violation}", succ, None)
+            if quiet and succ[-1] == empty:
+                home = homes.values[succ[0]]
+                if home[0] == IDLE and not home[4]:
+                    quiescent.append(succ)
             queue.append(succ)
 
     explored = len(parents)
@@ -717,7 +854,7 @@ def check_protocol(
 
     # Drain: every reachable state must be able to reach quiescence through
     # message deliveries alone (reverse reachability from quiescent states).
-    can_drain: Set[State] = set(quiescent)
+    can_drain: Set[Ids] = set(quiescent)
     drain_queue = deque(quiescent)
     while drain_queue:
         s = drain_queue.popleft()
@@ -737,7 +874,7 @@ def check_protocol(
                         "a reachable state cannot drain to quiescence via "
                         "message deliveries alone (protocol deadlock)"
                     ),
-                    details=_trace(parents, state),
+                    details=_trace(parents, state, decode),
                 )
             )
 
@@ -745,7 +882,8 @@ def check_protocol(
     report.merge(dep_report)
 
     if report.ok:
-        labels = sorted({core_label(c) for s in parents for c in s[1]})
+        seen = {c for s in parents for c in s[1:-1]}
+        labels = sorted({core_label(cores.values[c]) for c in seen})
         report.certified.insert(
             0,
             f"SWMR holds over all {explored} reachable states "

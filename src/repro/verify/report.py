@@ -54,6 +54,10 @@ class VerifyReport:
     def ok(self) -> bool:
         return not self.findings
 
+    def copy(self) -> "VerifyReport":
+        """A report equal to this one whose lists can change independently."""
+        return VerifyReport(self.subject, list(self.certified), list(self.findings))
+
     def merge(self, other: "VerifyReport") -> None:
         self.certified.extend(other.certified)
         self.findings.extend(other.findings)

@@ -1,4 +1,4 @@
-"""A cost budget for the deadlock certificate's set-up that cannot flake.
+"""A cost budget for the verifier's certificates that cannot flake.
 
 Every fresh process that builds a paper-scale target certifies its
 network before the first cycle, and most of what ``build_cdg`` used to
@@ -23,6 +23,20 @@ hop_distance per 256 rows:
 
 * parent (0d81952): 129 600 / 64 320 / 129 600 / 65 280 / 65 536
 * now:               65 280 /    256 /       2 /    960 /      0
+
+The coherence certificate is paid for by every fresh process too.  For
+one ``check_protocol(2)`` with the shipped tables (6 978 states), each
+transition is computed once per distinct input, not once per state that
+offers it: calls of ``_home_deliver``, ``_core_deliver`` and
+``_mem_deliver`` (one per distinct message and receiver state),
+``_msgs_remove`` (one per distinct multiset and message delivered),
+``_msgs_add`` (one per distinct multiset and non-empty set of sends) and
+``_msg_str`` (only while a trace is printed: none when it certifies).
+
+History — home / core / memory deliveries / add / remove / msg_str:
+
+* parent (69d5242): 8 262 / 3 520 / 478 / 21 756 / 12 260 / 12 260
+* now:                740 /    70 /   2 /    226 /    332 /      0
 """
 
 import sys
@@ -30,6 +44,7 @@ import sys
 from repro.noc.routing import XYRouting, make_routing
 from repro.noc.topology import Mesh
 from repro.noc.vcalloc import legal_output_vcs
+from repro.verify import protocol
 from repro.verify.cdg import build_cdg
 
 #: calls per build_cdg(Mesh(16, 16), xy, num_vcs=4, any_free)
@@ -41,6 +56,15 @@ BUILD_CALLS = {
 }
 #: calls while every hop row of a fresh Mesh(16, 16) fills
 ROW_CALLS = {"hop_distance": 0, "_hop_counts": 256}
+#: calls per check_protocol(2) with the shipped tables
+PROTOCOL_CALLS = {
+    "_home_deliver": 740,
+    "_core_deliver": 70,
+    "_mem_deliver": 2,
+    "_msgs_add": 226,
+    "_msgs_remove": 332,
+    "_msg_str": 0,
+}
 
 
 def _count(watched, action) -> dict:
@@ -98,4 +122,16 @@ def test_hop_rows_fill_without_hop_distance():
     counts = _count({"hop_distance": None, "_hop_counts": None}, fill_every_row)
     assert counts == ROW_CALLS, (
         f"hop-row fill call counts moved: {counts} vs budget {ROW_CALLS}"
+    )
+
+
+def test_protocol_computes_each_transition_once():
+    counts = _count(
+        {name: getattr(protocol, name).__code__ for name in PROTOCOL_CALLS},
+        lambda: protocol.check_protocol(2),
+    )
+    assert counts == PROTOCOL_CALLS, (
+        f"check_protocol call counts moved: {counts} vs budget {PROTOCOL_CALLS} "
+        "(down: update PROTOCOL_CALLS and the history in this file's docstring; "
+        "up: justify it)"
     )

@@ -1,4 +1,4 @@
-"""Identities of the deadlock certificate: every verdict byte for byte.
+"""Identities of the verifier's certificates: every verdict byte for byte.
 
 Making ``build_cdg`` cheaper must not move one edge, one witness or one
 line of a rendered counterexample.  Two pins, both compared exactly
@@ -15,9 +15,19 @@ rewritten (``fixtures/cdg_digests.json``):
 (b) the stdout and exit status of ``python -m repro verify`` (text and
     ``--format json``) and of ``--self-test`` (text and JSON).
 
-Re-record only from a commit whose outputs are known good::
+Making ``check_protocol`` cheaper must not move one state of a trace
+either.  A third pin, recorded from the commit *before* its explorer was
+rewritten (``fixtures/protocol_digests.json``):
 
-    PYTHONPATH=src python -m tests.test_verify_identity --record
+(c) the rendered text and the JSON dictionary of ``check_protocol``
+    reports — the shipped tables at two and three cachers, four broken
+    tables (a missing cache, directory or memory row, and an emission
+    outside its row), a truncated exploration and a finding cap.
+
+Re-record only from a commit whose outputs are known good (name one
+fixture, ``cdg`` or ``protocol``, to record only that one)::
+
+    PYTHONPATH=src python -m tests.test_verify_identity --record [cdg|protocol]
 """
 
 from __future__ import annotations
@@ -31,6 +41,14 @@ from pathlib import Path
 
 import pytest
 
+from repro.fullsys.coherence import (
+    DIRECTORY_TABLE,
+    IDLE,
+    MEMORY_READY,
+    MEMORY_TABLE,
+    MessageKind,
+    TransitionSpec,
+)
 from repro.noc.config import NocConfig
 from repro.noc.routing import make_routing
 from repro.noc.topology import ConcentratedMesh, Mesh, Torus
@@ -42,11 +60,13 @@ from repro.resilience import (
     verify_degraded,
 )
 from repro.resilience.degrade import _AliveView
-from repro.verify import FullyAdaptiveMinimalRouting
+from repro.verify import FullyAdaptiveMinimalRouting, broken_cache_table
 from repro.verify.cdg import build_cdg, check_network
 from repro.verify.cli import main as verify_main
+from repro.verify.protocol import check_protocol
 
 DIGESTS = Path(__file__).parent / "fixtures" / "cdg_digests.json"
+PROTOCOL_DIGESTS = Path(__file__).parent / "fixtures" / "protocol_digests.json"
 
 TOPOLOGIES = {"mesh": Mesh, "torus": Torus, "cmesh": ConcentratedMesh}
 DIMS = ((2, 2), (3, 3), (4, 2), (5, 5), (8, 8))
@@ -71,6 +91,42 @@ CLI_RUNS = {
     "verify-json": ["--format", "json"],
     "self-test-text": ["--self-test"],
     "self-test-json": ["--self-test", "--format", "json"],
+}
+
+
+def _without(table, row):
+    table = dict(table)
+    del table[row]
+    return table
+
+
+def _getx_without_inv():
+    """``(idle, GetX)`` no longer lists the ``Inv`` its handler sends."""
+    row = DIRECTORY_TABLE[(IDLE, MessageKind.GETX)]
+    table = dict(DIRECTORY_TABLE)
+    table[(IDLE, MessageKind.GETX)] = TransitionSpec(
+        emits=row.emits - {MessageKind.INV}, next_states=row.next_states
+    )
+    return table
+
+
+PROTOCOL_CASES = {
+    "shipped-2": dict(num_cores=2),
+    "shipped-3": dict(num_cores=3),
+    "broken-cache": dict(cache_table=broken_cache_table()),
+    "directory-without-idle-putm": dict(
+        directory_table=_without(DIRECTORY_TABLE, (IDLE, MessageKind.PUTM))
+    ),
+    "idle-getx-without-inv": dict(directory_table=_getx_without_inv()),
+    "memory-without-memwb": dict(
+        memory_table=_without(MEMORY_TABLE, (MEMORY_READY, MessageKind.MEM_WB))
+    ),
+    "truncated-500": dict(max_states=500),
+    "broken-cache-and-directory-one-finding": dict(
+        cache_table=broken_cache_table(),
+        directory_table=_without(DIRECTORY_TABLE, (IDLE, MessageKind.PUTM)),
+        max_findings=1,
+    ),
 }
 
 
@@ -136,6 +192,14 @@ def cli_digest(argv) -> dict:
     return {"status": status, "stdout": _sha(out.getvalue())}
 
 
+def protocol_digests(name: str) -> dict:
+    report = check_protocol(**PROTOCOL_CASES[name])
+    return {
+        "render": _sha(report.render()),
+        "dict": _sha(json.dumps(report.to_dict(), sort_keys=True)),
+    }
+
+
 def record() -> dict:
     digests = {_case_id(case): grid_digests(case) for case in GRID}
     digests.update({f"degrade-{mode}": degraded_digests(mode) for mode in DEGRADED})
@@ -143,9 +207,22 @@ def record() -> dict:
     return digests
 
 
+def record_protocol() -> dict:
+    return {name: protocol_digests(name) for name in PROTOCOL_CASES}
+
+
+#: fixture name -> (file, recorder)
+FIXTURES = {"cdg": (DIGESTS, record), "protocol": (PROTOCOL_DIGESTS, record_protocol)}
+
+
 @pytest.fixture(scope="module")
 def recorded() -> dict:
     return json.loads(DIGESTS.read_text())
+
+
+@pytest.fixture(scope="module")
+def recorded_protocol() -> dict:
+    return json.loads(PROTOCOL_DIGESTS.read_text())
 
 
 def test_fixture_covers_the_grid(recorded):
@@ -170,14 +247,26 @@ def test_cli_output_matches_parent_commit(name, recorded):
     assert cli_digest(CLI_RUNS[name]) == recorded[f"cli-{name}"]
 
 
+def test_protocol_fixture_covers_the_cases(recorded_protocol):
+    assert sorted(recorded_protocol) == sorted(PROTOCOL_CASES)
+
+
+@pytest.mark.parametrize("name", PROTOCOL_CASES)
+def test_protocol_report_matches_parent_commit(name, recorded_protocol):
+    assert protocol_digests(name) == recorded_protocol[name]
+
+
 if __name__ == "__main__":  # pragma: no cover - fixture maintenance
-    if sys.argv[1:] != ["--record"]:
+    names = sys.argv[2:] or list(FIXTURES)
+    if sys.argv[1:2] != ["--record"] or not set(names) <= set(FIXTURES):
         raise SystemExit(__doc__)
-    digests = record()
-    DIGESTS.write_text(
-        "{\n" + ",\n".join(
-            f"{json.dumps(key)}: {json.dumps(value, sort_keys=True)}"
-            for key, value in digests.items()
-        ) + "\n}\n"
-    )
-    print(f"recorded {len(digests)} digests to {DIGESTS}")
+    for name in names:
+        path, recorder = FIXTURES[name]
+        digests = recorder()
+        path.write_text(
+            "{\n" + ",\n".join(
+                f"{json.dumps(key)}: {json.dumps(value, sort_keys=True)}"
+                for key, value in digests.items()
+            ) + "\n}\n"
+        )
+        print(f"recorded {len(digests)} digests to {path}")

@@ -1,7 +1,15 @@
 """Tests for the explicit-state coherence-protocol model checker."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
+from repro.core.config import TargetConfig, build_cosim
 from repro.errors import ConfigError
 from repro.fullsys.coherence import (
     CACHE_TABLE,
@@ -10,7 +18,16 @@ from repro.fullsys.coherence import (
     MessageKind,
     TransitionSpec,
 )
-from repro.verify import broken_cache_table, verify_protocol
+from repro.noc.config import NocConfig
+from repro.noc.topology import Mesh
+from repro.verify import (
+    Finding,
+    VerifyReport,
+    broken_cache_table,
+    verify_noc,
+    verify_protocol,
+    verify_target_config,
+)
 from repro.verify.protocol import (
     check_message_dependencies,
     check_protocol,
@@ -160,3 +177,61 @@ class TestCoreLabelling:
         awaiting = (True, True, False, True, 1, 0)
         assert core_label((CacheLabel.I, awaiting, "none")) == CacheLabel.IM_A
         assert core_label((CacheLabel.S, awaiting, "none")) == CacheLabel.SM_A
+
+
+def _fresh_process_report(broken: bool) -> dict:
+    """``check_protocol``'s report as a process that ran nothing else sees it."""
+    code = (
+        "import json\n"
+        "from repro.verify import broken_cache_table\n"
+        "from repro.verify.protocol import check_protocol\n"
+        f"table = broken_cache_table() if {broken} else None\n"
+        "print(json.dumps(check_protocol(cache_table=table).to_dict()))\n"
+    )
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+class TestTablesBelongToOneCheck:
+    def test_broken_then_shipped_then_broken_match_fresh_processes(self):
+        broken = check_protocol(cache_table=broken_cache_table()).to_dict()
+        shipped = check_protocol().to_dict()
+        again = check_protocol(cache_table=broken_cache_table()).to_dict()
+        assert shipped["ok"]
+        assert broken == again == _fresh_process_report(broken=True)
+        assert shipped == _fresh_process_report(broken=False)
+
+
+class TestMemoisedReportsAreCopies:
+    """A caller that extends a memoised report must not change the verdict."""
+
+    @staticmethod
+    def _spoil(report: VerifyReport) -> None:
+        report.findings.append(Finding(check="spoiled", summary="by a caller"))
+        report.merge(VerifyReport("other", findings=[Finding("spoiled", "merged")]))
+        report.certified.clear()
+
+    def test_protocol_verdict_survives_a_caller_extending_it(self):
+        before = verify_protocol().to_dict()
+        self._spoil(verify_protocol())
+        assert verify_protocol().to_dict() == before
+        assert verify_protocol().ok
+
+    def test_network_verdict_survives_a_caller_extending_it(self):
+        before = verify_noc(Mesh(4, 4), "xy", NocConfig()).to_dict()
+        self._spoil(verify_noc(Mesh(4, 4), "xy", NocConfig()))
+        assert verify_noc(Mesh(4, 4), "xy", NocConfig()).to_dict() == before
+
+    def test_a_later_strict_build_still_certifies(self):
+        config = TargetConfig(width=4, height=4, app="water", scale=0.3)
+        for report in verify_target_config(config):
+            self._spoil(report)
+        assert all(report.ok for report in verify_target_config(config))
+        build_cosim(config, verify="strict")  # raised ConfigError when shared
