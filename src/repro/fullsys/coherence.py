@@ -188,9 +188,10 @@ class DirectoryEntry:
 #
 # * :mod:`repro.fullsys.cmp` can derive message routing (which controller a
 #   kind is bound for) instead of hard-coding parallel kind sets, and
-# * the configuration verifier (:mod:`repro.verify.protocol`) can enumerate
-#   the reachable protocol state space and flag any (state, kind) pair the
-#   tables do not cover — before a single cycle is simulated.
+# * the configuration verifier (:mod:`repro.verify.protocol`) can run the
+#   controllers themselves over the reachable protocol state space and flag
+#   any (state, kind) pair the tables do not cover, or a handler that
+#   strays from its row — before a single cycle is simulated.
 #
 # A row keyed ``(state_label, kind)`` means: a controller whose abstract
 # state has that label handles an arriving message of that kind, may emit
@@ -292,7 +293,7 @@ for _busy in (BUSY_RECALL, BUSY_MEM, BUSY_UNBLOCK):
 #: L1/requester transitions, message-triggered only — the spontaneous core
 #: actions (issuing misses, upgrades, evictions, silent Shared drops) are
 #: state transitions of the *core*, not responses to messages, and are
-#: modelled directly by the verifier's executor.
+#: modelled directly by the verifier as the environment of the handlers.
 CACHE_TABLE: Dict[Tuple[str, str], TransitionSpec] = {
     # Stale-sharer invalidations: the directory's sharer list may lag the
     # cache (silent Shared drops; re-add via a RecallS answered from an

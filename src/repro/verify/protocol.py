@@ -6,15 +6,21 @@ directory protocol for one line, one home, and a small number of cachers
 most two requesters, and the messages between them, so N = 2..3 covers the
 interesting interleavings while staying a few hundred thousand states).
 
-The model mirrors the implementations in :mod:`repro.fullsys.directory`
-and :mod:`repro.fullsys.core_model` operationally — same handler logic,
-same MSHR/eviction-shadow bookkeeping — while the declarative tables in
-:mod:`repro.fullsys.coherence` act as the specification.  Every message
-consumption is validated against its table row: a reachable ``(state,
-kind)`` pair with no row is an **unhandled transition** (with the message
-interleaving that reaches it as the counterexample), and a handler that
-emits outside its row's ``emits`` or lands outside ``next_states`` is a
-**table mismatch**.
+The checker executes the simulator's own controllers: every delivery is
+handed to a real :class:`~repro.fullsys.directory.HomeController`, a real
+:class:`~repro.fullsys.core_model.Core` or ``CmpSystem``'s memory
+handlers, loaded with the abstract state of the line and read back
+afterwards, so the handlers certified are the handlers simulated.  The
+declarative tables in :mod:`repro.fullsys.coherence` act as the
+specification.  Every message consumption is validated against its table
+row: a reachable ``(state, kind)`` pair with no row is an **unhandled
+transition** (with the message interleaving that reaches it as the
+counterexample), a handler that emits outside its row's ``emits`` or
+lands outside ``next_states`` is a **table mismatch**, and a handler that
+raises :class:`~repro.errors.ProtocolError` on a pair its table claims is
+a **protocol error** carrying the handler's message.  What no message
+triggers — a core's loads, stores and evictions and the L2's capacity
+drop — stays the model's environment (``_core_moves``, ``_l2_drop``).
 
 Deliveries are unordered (any in-flight message may arrive next), which
 over-approximates every network the co-simulator can be configured with.
@@ -48,6 +54,7 @@ Checked properties:
 from __future__ import annotations
 
 from collections import deque
+from operator import attrgetter
 from typing import (
     Callable,
     Dict,
@@ -60,22 +67,27 @@ from typing import (
     Union,
 )
 
-from ..errors import ConfigError
+from ..errors import ConfigError, ProtocolError
+from ..fullsys.cache import CacheLineState
+from ..fullsys.cmp import CmpSystem
 from ..fullsys.coherence import (
     BLOCKING_WAITS,
-    BUSY_MEM,
-    BUSY_RECALL,
-    BUSY_UNBLOCK,
     CACHE_TABLE,
     DIRECTORY_TABLE,
     IDLE,
     MEMORY_READY,
     MEMORY_TABLE,
     CacheLabel,
+    DirectoryEntry,
+    Message,
     MessageKind,
     TransitionSpec,
     message_profile,
 )
+from ..fullsys.config import CmpConfig
+from ..fullsys.core_model import Core, Mshr
+from ..fullsys.directory import HomeController
+from ..fullsys.memory import MemoryController
 from ..noc.packet import MessageClass
 from .report import Finding, VerifyReport
 
@@ -158,6 +170,16 @@ def core_label(core: CoreState) -> str:
     return CacheLabel.IM_A if datar else CacheLabel.IM_AD
 
 
+def _row(table: Table, agent: str, label: str, kind: str) -> TransitionSpec:
+    spec = table.get((label, kind))
+    if spec is None:
+        raise _CheckError(
+            "unhandled-transition",
+            f"{agent} has no transition for {kind} in state {label}",
+        )
+    return spec
+
+
 def _validate(
     table: Table,
     agent: str,
@@ -166,12 +188,7 @@ def _validate(
     emitted: Iterable[str],
     after: str,
 ) -> None:
-    spec = table.get((label, kind))
-    if spec is None:
-        raise _CheckError(
-            "unhandled-transition",
-            f"{agent} has no transition for {kind} in state {label}",
-        )
+    spec = _row(table, agent, label, kind)
     extra = set(emitted) - set(spec.emits)
     if extra:
         raise _CheckError(
@@ -217,231 +234,192 @@ def _msg_str(m: Msg) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Home executor (mirrors repro.fullsys.directory.HomeController)
+# The simulator's own controllers, run on one line
 # ---------------------------------------------------------------------------
-def _complete_get(
-    home: list, active: tuple, out: List[Msg], emitted: Set[str]
-) -> None:
-    kind, requester = active
-    _state, owner, sharers, _active, _pending, l2 = home
-    acks = 0
-    if kind == MessageKind.GETS:
-        sharers = sharers | {requester}
-    else:
-        targets = sorted(sharers - {requester})
-        for t in targets:
-            out.append(_mk(MessageKind.INV, HOME, t, requester))
-            emitted.add(MessageKind.INV)
-        acks = len(targets)
-        sharers = frozenset()
-        owner = requester
+_LINE = 0
+#: the model's L2 states as the home's L2 bank stores them, and back
+_TO_BANK = {L2_VALID: CacheLineState.VALID, L2_DIRTY: CacheLineState.DIRTY}
+_FROM_BANK = {None: L2_ABSENT, CacheLineState.VALID: L2_VALID, CacheLineState.DIRTY: L2_DIRTY}
+#: a core's ``evicting`` entry for the line (none, or answered a recall?)
+_SHADOWS = {None: EV_NONE, False: EV_SHADOW, True: EV_RECALLED}
+#: the :class:`Mshr` fields a core state's mshr tuple holds, in order
+_MSHR_FIELDS = (
+    "requested_write", "wants_write", "deferred",
+    "data_received", "acks_expected", "acks_received",
+)
+_mshr_state = attrgetter(*_MSHR_FIELDS)
+
+
+def _message(kind: str, src, dst, requester: int, acks: int = 0) -> Message:
+    # an explicit mid, so the simulator's message-id counter stays put
+    return Message(kind, src, dst, _LINE, requester, 0, 0, 0, acks, 0)
+
+
+class _Home(HomeController):
+    """The simulator's home, noting where each transaction begins."""
+
+    def _start(self, msg: Message, ent: DirectoryEntry) -> None:
+        system = self.system
+        if msg is not system.delivered:
+            system.starts.append((ent.state, msg.kind, len(system.sent)))
+        super()._start(msg, ent)
+
+
+class _Controllers:
+    """A real home, one real :class:`Core` per cacher and ``CmpSystem``'s
+    memory handlers on one line, and the ``system`` handle they share.
+
+    The handle is also their clock and address map: a send is logged, not
+    routed, and an event fires as it is scheduled, since nothing here is
+    timed.  Cores keep their ids; the home's tile is :data:`HOME` and the
+    memory node :data:`MEM`, so a logged send is already a :data:`Msg`.
+    """
+
+    now = 0
+    _memctrl = CmpSystem._memctrl
+    _memory_ready = CmpSystem._memory_ready
+    _send_mem_data = CmpSystem._send_mem_data
+
+    def __init__(self, num_cores: int, tables: Tuple[Table, Table, Table]) -> None:
+        self.config = CmpConfig()
+        self.events = self.address_map = self
+        #: the directory, cache and memory tables
+        self.tables = tables
+        self.memctrls = {MEM: MemoryController(MEM, 1, 1)}
+        #: one delivery: the message delivered, the messages sent, and
+        #: (home state, kind, messages sent before it) per request dequeued
+        self.delivered: Optional[Message] = None
+        self.sent: List[Msg] = []
+        self.starts: List[Tuple[str, str, int]] = []
+        #: ((kind, src, requester), ...) -> those requests as messages
+        self.queues: Dict[tuple, Tuple[Message, ...]] = {}
+        self.home = _Home(HOME, self)
+        self.cores = [Core(i, self, None) for i in range(num_cores)]
+
+    def home_tile(self, line: int) -> str:
+        return HOME
+
+    def memory_node(self, tile) -> str:
+        return MEM
+
+    def schedule(self, time: int, callback: Callable[..., None], *args) -> None:
+        callback(*args)
+
+    def send_protocol(
+        self, kind, src, dst, line, requester, at=None, delay=0, acks_expected=0
+    ) -> None:
+        self.sent.append((kind, src, dst, requester, acks_expected))
+
+    def record_fill(self, core_id: int, mshr: Mshr) -> None:
+        pass
+
+    def handle_message(self, msg: Message) -> None:
+        """The memory port: ``CmpSystem``'s handlers for memory kinds."""
+        handler = CmpSystem.HANDLERS.get(msg.kind)
+        if handler is None:
+            raise ProtocolError(f"memory: unexpected {msg!r}")
+        handler(self, msg)
+
+    def deliver(self, msg: Msg, state) -> Tuple[object, List[Msg]]:
+        """Deliver ``msg`` to its receiver, in ``state`` (None for memory).
+
+        Returns the receiver's state afterwards and the messages it sent,
+        once each table row the handlers applied has been validated.
+        """
+        kind, src, dst, requester, acks = msg
+        dir_table, cache_table, mem_table = self.tables
+        if dst == HOME:
+            agent, table, label, receiver = "home", dir_table, state[0], self.home
+            ent = self._load_home(state)
+        elif dst == MEM:
+            agent, table, label, receiver = "memory", mem_table, MEMORY_READY, self
+        else:
+            agent, table, label = f"core {dst}", cache_table, core_label(state)
+            receiver = self._load_core(dst, state)
+        self.delivered = delivered = _message(kind, src, dst, requester, acks)
+        self.sent = sent = []
+        self.starts = starts = []
+        try:
+            receiver.handle_message(delivered)
+        except ProtocolError as err:
+            refusal = str(err)
+        else:
+            refusal = None
+        if refusal is not None:
+            # a pair no row claims is unhandled, whatever the handler said
+            _row(table, agent, label, kind)
+            raise _CheckError("protocol-error", refusal)
+        if dst == HOME:
+            state = self._read_home(ent)
+            final = state[0]
+        elif dst == MEM:
+            final = MEMORY_READY
+        else:
+            state = self._read_core(receiver)
+            final = core_label(state)
+        # One row per transaction: the delivered message's, then a fresh
+        # IDLE row per request the home dequeued, each ending where the
+        # next begins.
+        rows = [(label, kind, 0), *starts]
+        ends = starts + [(final, None, len(sent))]
+        for (row_label, row_kind, first), (after, _kind, last) in zip(rows, ends):
+            emitted = {s[0] for s in sent[first:last]}
+            _validate(table, agent, row_label, row_kind, emitted, after)
+        return state, sent
+
+    def _queue(self, requests: tuple) -> Tuple[Message, ...]:
+        queue = self.queues.get(requests)
+        if queue is None:
+            queue = tuple(_message(k, s, HOME, r) for k, s, r in requests)
+            self.queues[requests] = queue
+        return queue
+
+    def _load_home(self, home: HomeState) -> DirectoryEntry:
+        dir_state, owner, sharers, active, pending, l2 = home
+        if active is not None:  # a GetS or GetX, sent by its requester
+            (active,) = self._queue(((active[0], active[1], active[1]),))
+        queued = deque(self._queue(pending))
+        ent = DirectoryEntry(owner, set(sharers), dir_state, active, queued)
+        self.home.entries[_LINE] = ent
+        self.home.l2.invalidate(_LINE)
         if l2 != L2_ABSENT:
-            l2 = L2_DIRTY
-    out.append(_mk(MessageKind.DATA, HOME, requester, requester, acks))
-    emitted.add(MessageKind.DATA)
-    home[0] = BUSY_UNBLOCK
-    home[1] = owner
-    home[2] = sharers
-    home[5] = l2
+            self.home.l2.insert(_LINE, _TO_BANK[l2])
+        return ent
 
-
-def _home_start(
-    home: list,
-    kind: str,
-    src: int,
-    requester: int,
-    out: List[Msg],
-    table: Table,
-) -> None:
-    """Mirror of ``HomeController._start`` + the dequeue loop."""
-    emitted: Set[str] = set()
-    if kind == MessageKind.PUTM:
-        if home[1] == src:
-            home[1] = None
-            home[5] = L2_DIRTY
-        out.append(_mk(MessageKind.PUT_ACK, HOME, src, requester))
-        emitted.add(MessageKind.PUT_ACK)
-        _validate(table, "home", IDLE, kind, emitted, IDLE)
-        _next_transaction(home, out, table)
-        return
-    home[3] = (kind, requester)
-    if home[1] is not None:
-        home[0] = BUSY_RECALL
-        recall = (
-            MessageKind.RECALL_S if kind == MessageKind.GETS else MessageKind.RECALL_X
+    def _read_home(self, ent: DirectoryEntry) -> HomeState:
+        active = ent.active
+        return (
+            ent.state,
+            ent.owner,
+            frozenset(ent.sharers),
+            None if active is None else (active.kind, active.requester),
+            tuple((m.kind, m.src, m.requester) for m in ent.pending),
+            _FROM_BANK[self.home.l2.peek(_LINE)],
         )
-        out.append(_mk(recall, HOME, home[1], requester))
-        emitted.add(recall)
-    elif home[5] == L2_ABSENT:
-        home[0] = BUSY_MEM
-        out.append(_mk(MessageKind.MEM_READ, HOME, MEM, requester))
-        emitted.add(MessageKind.MEM_READ)
-    else:
-        _complete_get(home, (kind, requester), out, emitted)
-    _validate(table, "home", IDLE, kind, emitted, home[0])
 
+    def _load_core(self, i: int, state: CoreState) -> Core:
+        base, mshr, evict = state
+        core = self.cores[i]
+        core.l1.invalidate(_LINE)
+        if base != CacheLabel.I:
+            core.l1.insert(_LINE, base)
+        core.mshrs.clear()
+        if mshr is not None:
+            fields = dict(zip(_MSHR_FIELDS, mshr))
+            core.mshrs[_LINE] = Mshr(line=_LINE, issued_at=0, **fields)
+        core.evicting.clear()
+        if evict != EV_NONE:
+            core.evicting[_LINE] = evict == EV_RECALLED
+        return core
 
-def _next_transaction(home: list, out: List[Msg], table: Table) -> None:
-    home[0] = IDLE
-    home[3] = None
-    if home[4]:
-        nxt, rest = home[4][0], home[4][1:]
-        home[4] = rest
-        _home_start(home, nxt[0], nxt[1], nxt[2], out, table)
-
-
-def _home_deliver(
-    home_t: HomeState, msg: Msg, table: Table
-) -> Tuple[HomeState, List[Msg]]:
-    home = list(home_t)
-    kind, src, _dst, requester, _acks = msg
-    out: List[Msg] = []
-    label = home[0]
-    if kind in (MessageKind.GETS, MessageKind.GETX, MessageKind.PUTM):
-        if label != IDLE:
-            home[4] = home[4] + ((kind, src, requester),)
-            _validate(table, "home", label, kind, (), home[0])
-        else:
-            _home_start(home, kind, src, requester, out, table)
-    elif kind == MessageKind.RECALL_DATA:
-        if label != BUSY_RECALL or home[3] is None:
-            _validate(table, "home", label, kind, (), label)
-            raise _CheckError("protocol-error", f"home: stray {kind} in {label}")
-        prev_owner = home[1]
-        if prev_owner is None:
-            raise _CheckError(
-                "protocol-error", "home: recall data arrived with no recorded owner"
-            )
-        home[1] = None
-        if home[3][0] == MessageKind.GETS:
-            home[2] = home[2] | {prev_owner}
-        home[5] = L2_DIRTY
-        emitted: Set[str] = set()
-        _complete_get(home, home[3], out, emitted)
-        _validate(table, "home", label, kind, emitted, home[0])
-    elif kind == MessageKind.MEM_DATA:
-        if label != BUSY_MEM or home[3] is None:
-            _validate(table, "home", label, kind, (), label)
-            raise _CheckError("protocol-error", f"home: stray {kind} in {label}")
-        home[5] = L2_VALID
-        emitted = set()
-        _complete_get(home, home[3], out, emitted)
-        _validate(table, "home", label, kind, emitted, home[0])
-    elif kind == MessageKind.UNBLOCK:
-        if label != BUSY_UNBLOCK:
-            _validate(table, "home", label, kind, (), label)
-            raise _CheckError("protocol-error", f"home: stray {kind} in {label}")
-        _validate(table, "home", label, kind, (), IDLE)
-        _next_transaction(home, out, table)
-    else:
-        _validate(table, "home", label, kind, (), label)
-        raise _CheckError("protocol-error", f"home: unexpected {kind}")
-    return (home[0], home[1], home[2], home[3], home[4], home[5]), out
-
-
-# ---------------------------------------------------------------------------
-# Core executor (mirrors repro.fullsys.core_model.Core)
-# ---------------------------------------------------------------------------
-def _maybe_complete(
-    core: list, core_id: int, out: List[Msg], emitted: Set[str]
-) -> None:
-    mshr = core[1]
-    rw, ww, _deferred, datar, acks_e, acks_r = mshr
-    if acks_e is None or not datar or acks_r < acks_e:
-        core[1] = mshr
-        return
-    core[1] = None
-    core[0] = CacheLabel.M if rw else CacheLabel.S
-    out.append(_mk(MessageKind.UNBLOCK, core_id, HOME, core_id))
-    emitted.add(MessageKind.UNBLOCK)
-    if ww and not rw:
-        # A store coalesced into the read miss: upgrade immediately.
-        if core[2] != EV_NONE:
-            raise _CheckError(
-                "protocol-error",
-                f"core {core_id}: upgrade issued while an eviction is in flight",
-            )
-        core[1] = (True, True, False, False, None, 0)
-        out.append(_mk(MessageKind.GETX, core_id, HOME, core_id))
-        emitted.add(MessageKind.GETX)
-
-
-def _core_deliver(
-    core_t: CoreState, core_id: int, msg: Msg, table: Table
-) -> Tuple[CoreState, List[Msg]]:
-    core = list(core_t)
-    kind, src, _dst, requester, acks = msg
-    label = core_label(core_t)
-    out: List[Msg] = []
-    emitted: Set[str] = set()
-    if kind == MessageKind.DATA:
-        if core[1] is None:
-            _validate(table, f"core {core_id}", label, kind, (), label)
-            raise _CheckError("protocol-error", f"core {core_id}: DATA without MSHR")
-        rw, ww, deferred, _datar, _acks_e, acks_r = core[1]
-        core[1] = (rw, ww, deferred, True, acks, acks_r)
-        _maybe_complete(core, core_id, out, emitted)
-    elif kind == MessageKind.INV_ACK:
-        if core[1] is None:
-            _validate(table, f"core {core_id}", label, kind, (), label)
-            raise _CheckError(
-                "protocol-error", f"core {core_id}: INV_ACK without MSHR"
-            )
-        rw, ww, deferred, datar, acks_e, acks_r = core[1]
-        core[1] = (rw, ww, deferred, datar, acks_e, acks_r + 1)
-        _maybe_complete(core, core_id, out, emitted)
-    elif kind == MessageKind.INV:
-        core[0] = CacheLabel.I
-        out.append(_mk(MessageKind.INV_ACK, core_id, requester, requester))
-        emitted.add(MessageKind.INV_ACK)
-    elif kind in (MessageKind.RECALL_S, MessageKind.RECALL_X):
-        if core[0] == CacheLabel.M:
-            core[0] = (
-                CacheLabel.S if kind == MessageKind.RECALL_S else CacheLabel.I
-            )
-        elif core[2] == EV_SHADOW:
-            core[2] = EV_RECALLED
-        else:
-            _validate(table, f"core {core_id}", label, kind, (), label)
-            raise _CheckError(
-                "protocol-error",
-                f"core {core_id}: recall for a line it does not own",
-            )
-        out.append(_mk(MessageKind.RECALL_DATA, core_id, src, requester))
-        emitted.add(MessageKind.RECALL_DATA)
-    elif kind == MessageKind.PUT_ACK:
-        if core[2] == EV_NONE:
-            _validate(table, f"core {core_id}", label, kind, (), label)
-            raise _CheckError(
-                "protocol-error", f"core {core_id}: PutAck while not evicting"
-            )
-        core[2] = EV_NONE
-        if core[1] is not None and core[1][2]:
-            rw, ww, _deferred, datar, acks_e, acks_r = core[1]
-            core[1] = (rw, ww, False, datar, acks_e, acks_r)
-            miss = MessageKind.GETX if rw else MessageKind.GETS
-            out.append(_mk(miss, core_id, HOME, core_id))
-            emitted.add(miss)
-    else:
-        _validate(table, f"core {core_id}", label, kind, (), label)
-        raise _CheckError("protocol-error", f"core {core_id}: unexpected {kind}")
-    after = core_label((core[0], core[1], core[2]))
-    _validate(table, f"core {core_id}", label, kind, emitted, after)
-    return (core[0], core[1], core[2]), out
-
-
-def _mem_deliver(msg: Msg, table: Table) -> List[Msg]:
-    kind, _src, _dst, requester, _acks = msg
-    out: List[Msg] = []
-    emitted: Set[str] = set()
-    if kind == MessageKind.MEM_READ:
-        out.append(_mk(MessageKind.MEM_DATA, MEM, HOME, requester))
-        emitted.add(MessageKind.MEM_DATA)
-    elif kind != MessageKind.MEM_WB:
-        _validate(table, "memory", MEMORY_READY, kind, (), MEMORY_READY)
-        raise _CheckError("protocol-error", f"memory: unexpected {kind}")
-    _validate(table, "memory", MEMORY_READY, kind, emitted, MEMORY_READY)
-    return out
+    @staticmethod
+    def _read_core(core: Core) -> CoreState:
+        mshr = core.mshrs.get(_LINE)
+        return (
+            core.l1.peek(_LINE) or CacheLabel.I,
+            None if mshr is None else _mshr_state(mshr),
+            _SHADOWS[core.evicting.get(_LINE)],
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -634,8 +612,8 @@ def check_protocol(
     """Enumerate the reachable protocol state space and check its safety.
 
     Alternative tables substitute the specification under test (used by the
-    deliberately-broken fixtures); the executor semantics are always those
-    of the shipped implementation.
+    deliberately-broken fixtures); the handlers are always the simulator's
+    own, as the classes define them when the check runs.
 
     Raises :class:`~repro.errors.ConfigError` for ``num_cores < 2``: with
     fewer than two cachers no line is ever shared or invalidated, so SWMR
@@ -671,6 +649,7 @@ def check_protocol(
     # numbered for this check only.  Each transition is computed once per
     # distinct input and read from a table after that.
     homes, cores, messages, flights = (_Numbering() for _ in range(4))
+    controllers = _Controllers(num_cores, (dir_table, cch_table, mem_table))
     #: flight id -> ((message id, position of its receiver in a state), ...);
     #: memory holds no state, so its position is None
     offered: List[Tuple[Tuple[int, Optional[int]], ...]] = []
@@ -698,24 +677,17 @@ def check_protocol(
 
     def deliver(m: int, receiver: int):
         msg = messages.values[m]
-        dst = msg[2]
+        numbering = {HOME: homes, MEM: None}.get(msg[2], cores)
         try:
-            if dst == HOME:
-                new_home, out = _home_deliver(
-                    homes.values[receiver], msg, dir_table
-                )
-                receiver = homes(new_home)
-            elif dst == MEM:
-                out = _mem_deliver(msg, mem_table)
-            else:
-                new_core, out = _core_deliver(
-                    cores.values[receiver], dst, msg, cch_table
-                )
-                receiver = cores(new_core)
+            after, out = controllers.deliver(
+                msg, None if numbering is None else numbering.values[receiver]
+            )
         except _CheckError as err:
             # without its traceback, whose frames would tie the tables to
             # this call in a cycle that outlives it
             return -1, (), err.with_traceback(None)
+        if numbering is not None:
+            receiver = numbering(after)
         return receiver, tuple(messages(o) for o in out), None
 
     def add(flight: int, sent: Tuple[int, ...]) -> int:
@@ -892,6 +864,8 @@ def check_protocol(
         report.certified.insert(
             1, "every reachable (state, message) pair has a transition table row"
         )
+        # worded when the checker ran a mirror of the handlers; the recorded
+        # report digests pin the line byte for byte
         report.certified.insert(
             2,
             "implementation mirror agrees with the tables (emissions and "

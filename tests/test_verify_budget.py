@@ -27,20 +27,29 @@ hop_distance per 256 rows:
 The coherence certificate is paid for by every fresh process too.  For
 one ``check_protocol(2)`` with the shipped tables (6 978 states), each
 transition is computed once per distinct input, not once per state that
-offers it: calls of ``_home_deliver``, ``_core_deliver`` and
-``_mem_deliver`` (one per distinct message and receiver state),
-``_msgs_remove`` (one per distinct multiset and message delivered),
-``_msgs_add`` (one per distinct multiset and non-empty set of sends) and
-``_msg_str`` (only while a trace is printed: none when it certifies).
+offers it: deliveries to the simulator's own controllers —
+``HomeController.handle_message``, ``Core.handle_message`` and
+``CmpSystem._on_mem_read`` (one per distinct message and receiver
+state) — ``_msgs_remove`` (one per distinct multiset and message
+delivered), ``_msgs_add`` (one per distinct multiset and non-empty set of
+sends) and ``_msg_str`` (only while a trace is printed: none when it
+certifies).
 
 History — home / core / memory deliveries / add / remove / msg_str:
 
 * parent (69d5242): 8 262 / 3 520 / 478 / 21 756 / 12 260 / 12 260
+* a169a96:            740 /    70 /   2 /    226 /    332 /      0
+  (deliveries counted on the checker's mirror: ``_home_deliver``,
+  ``_core_deliver``, ``_mem_deliver``)
 * now:                740 /    70 /   2 /    226 /    332 /      0
+  (the mirror is gone; the same deliveries reach the controllers above)
 """
 
 import sys
 
+from repro.fullsys.cmp import CmpSystem
+from repro.fullsys.core_model import Core
+from repro.fullsys.directory import HomeController
 from repro.noc.routing import XYRouting, make_routing
 from repro.noc.topology import Mesh
 from repro.noc.vcalloc import legal_output_vcs
@@ -58,12 +67,21 @@ BUILD_CALLS = {
 ROW_CALLS = {"hop_distance": 0, "_hop_counts": 256}
 #: calls per check_protocol(2) with the shipped tables
 PROTOCOL_CALLS = {
-    "_home_deliver": 740,
-    "_core_deliver": 70,
-    "_mem_deliver": 2,
+    "HomeController.handle_message": 740,
+    "Core.handle_message": 70,
+    "CmpSystem._on_mem_read": 2,
     "_msgs_add": 226,
     "_msgs_remove": 332,
     "_msg_str": 0,
+}
+#: where each counted function lives
+PROTOCOL_CODE = {
+    "HomeController.handle_message": HomeController.handle_message.__code__,
+    "Core.handle_message": Core.handle_message.__code__,
+    "CmpSystem._on_mem_read": CmpSystem._on_mem_read.__code__,
+    "_msgs_add": protocol._msgs_add.__code__,
+    "_msgs_remove": protocol._msgs_remove.__code__,
+    "_msg_str": protocol._msg_str.__code__,
 }
 
 
@@ -126,10 +144,7 @@ def test_hop_rows_fill_without_hop_distance():
 
 
 def test_protocol_computes_each_transition_once():
-    counts = _count(
-        {name: getattr(protocol, name).__code__ for name in PROTOCOL_CALLS},
-        lambda: protocol.check_protocol(2),
-    )
+    counts = _count(PROTOCOL_CODE, lambda: protocol.check_protocol(2))
     assert counts == PROTOCOL_CALLS, (
         f"check_protocol call counts moved: {counts} vs budget {PROTOCOL_CALLS} "
         "(down: update PROTOCOL_CALLS and the history in this file's docstring; "

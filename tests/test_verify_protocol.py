@@ -10,14 +10,18 @@ import pytest
 
 import repro
 from repro.core.config import TargetConfig, build_cosim
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ProtocolError
+from repro.fullsys.cmp import CmpSystem
 from repro.fullsys.coherence import (
     CACHE_TABLE,
     DIRECTORY_TABLE,
     CacheLabel,
     MessageKind,
     TransitionSpec,
+    message_id_state,
 )
+from repro.fullsys.core_model import Core
+from repro.fullsys.directory import HomeController
 from repro.noc.config import NocConfig
 from repro.noc.topology import Mesh
 from repro.verify import (
@@ -122,6 +126,60 @@ class TestBrokenTableRefuted:
         report = check_protocol(num_cores=2, directory_table=narrowed)
         assert not report.ok
         assert any(f.check == "table-mismatch" for f in report.findings)
+
+
+class TestCertifiesTheSimulatorsHandlers:
+    """The checker runs the controllers the simulator runs, so a bug planted
+    in a handler — and in no table — is refuted, not certified."""
+
+    def test_inv_dropped_without_ack_never_drains(self, monkeypatch):
+        def inv_without_ack(core, msg):
+            core.l1.invalidate(msg.line)
+
+        with monkeypatch.context() as patch:
+            patch.setitem(Core.HANDLERS, MessageKind.INV, inv_without_ack)
+            report = check_protocol(num_cores=2)
+        assert [f.check for f in report.findings] == ["drain"]
+        assert check_protocol(num_cores=2).ok
+
+    def test_getx_that_forgets_the_sharers_breaks_swmr(self, monkeypatch):
+        complete_get = HomeController._complete_get
+
+        def forgetful(home, msg, ent):
+            if msg.kind == MessageKind.GETX:
+                ent.sharers.clear()
+            complete_get(home, msg, ent)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(HomeController, "_complete_get", forgetful)
+            report = check_protocol(num_cores=2)
+        assert report.findings and {f.check for f in report.findings} == {"swmr"}
+        details = report.findings[0].details
+        assert "deliver GetX" in details and "reached:" in details
+        assert check_protocol(num_cores=2).ok
+
+    def test_handler_refusal_is_a_protocol_error_with_its_message(self, monkeypatch):
+        def refuse(core, msg):
+            raise ProtocolError(f"core {core.core_id}: PutAck refused")
+
+        with monkeypatch.context() as patch:
+            patch.setitem(Core.HANDLERS, MessageKind.PUT_ACK, refuse)
+            report = check_protocol(num_cores=2)
+        assert report.findings
+        for finding in report.findings:
+            assert finding.check == "protocol-error"
+            assert finding.summary.endswith(": PutAck refused")
+            assert "deliver PutAck" in finding.details
+        assert check_protocol(num_cores=2).ok
+
+    def test_checking_leaves_the_simulator_alone(self):
+        # Checkpoints restore the message-id counter, so certifying must
+        # not move it; nor may it leave a handler table changed.
+        tables = [dict(owner.HANDLERS) for owner in (Core, HomeController, CmpSystem)]
+        before = message_id_state()
+        assert check_protocol(num_cores=2).ok
+        assert message_id_state() == before
+        assert [Core.HANDLERS, HomeController.HANDLERS, CmpSystem.HANDLERS] == tables
 
 
 class TestMessageDependencies:
