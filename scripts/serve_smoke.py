@@ -8,9 +8,10 @@ full service contract:
    duplicate and distinct jobs; every duplicate must resolve to one
    computation (asserted via the ``jobs_dispatched_total`` counter and
    the cache hit ratio scraped from ``/metrics``).
-2. **Equivalence** — E3 and E5 results fetched through the service must
-   be identical to direct in-process runs, excluding only each
-   experiment's declared ``host_time_columns``.
+2. **Equivalence** — E1 (one job carrying the whole persisted result),
+   and E3 and E5 (assembled from one job per sweep point) fetched through
+   the service must be identical to direct in-process runs, excluding only
+   each experiment's declared ``host_time_columns``.
 3. **SIGTERM drain + restart** — the daemon is SIGTERMed with jobs
    still queued; a restart on the same ``--db`` must complete every
    accepted job exactly once, and previously cached payloads must come
@@ -45,7 +46,7 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
 from repro.campaign.spec import JobSpec, execute_job, get_experiment  # noqa: E402
-from repro.harness.experiments import run_e3, run_e5  # noqa: E402
+from repro.harness.experiments import run_e1, run_e3, run_e5  # noqa: E402
 from repro.harness.persist import result_from_dict  # noqa: E402
 from repro.serve import ServeClient  # noqa: E402
 
@@ -218,36 +219,39 @@ def phase_stdlib_clients(port: int, cached_text: str) -> None:
     step("  ok: stock clients are served, keep-alive included")
 
 
+def served_by_points(client: ServeClient, eid: str):
+    """``eid`` in quick mode, assembled from one served job per point."""
+    experiment = get_experiment(eid)
+    records = [
+        client.submit_and_wait(eid, point_index=i, quick=True,
+                               timeout_s=900)["record"]
+        for i in range(len(experiment.points(True)))
+    ]
+    return experiment.assemble(records, True, experiment.default_seed)
+
+
+def check_matches(served, direct, eid: str, how: str) -> None:
+    if served.headers != direct.headers:
+        fail(f"{eid} headers differ")
+    if masked_rows(served, eid) != masked_rows(direct, eid):
+        fail(f"{eid} rows differ beyond host-time columns")
+    step(f"  ok: {eid} matches ({how})")
+
+
 def phase_equivalence(port: int) -> None:
-    """Served E3/E5 results == direct runs, modulo host_time_columns."""
-    step("phase 2: served E3/E5 vs direct sequential runs")
+    """Served E1/E3/E5 results == direct runs, modulo host_time_columns."""
+    step("phase 2: served E1/E3/E5 vs direct sequential runs")
     client = ServeClient(port=port, client_id="equiv")
 
-    served_e3 = result_from_dict(
-        client.submit_and_wait("E3", quick=True, timeout_s=900)["record"],
-        source="served E3",
+    served_e1 = result_from_dict(
+        client.submit_and_wait("E1", quick=True, timeout_s=900)["record"],
+        source="served E1",
     )
-    direct_e3 = run_e3(quick=True)
-    if served_e3.headers != direct_e3.headers:
-        fail("E3 headers differ")
-    if masked_rows(served_e3, "E3") != masked_rows(direct_e3, "E3"):
-        fail("E3 rows differ beyond host-time columns")
-    step("  ok: E3 matches")
-
-    e5 = get_experiment("E5")
-    points = e5.points(True)
-    records = [
-        client.submit_and_wait("E5", point_index=i, quick=True,
-                               timeout_s=900)["record"]
-        for i in range(len(points))
-    ]
-    served_e5 = e5.assemble(records, True, e5.default_seed)
-    direct_e5 = run_e5(quick=True)
-    if served_e5.headers != direct_e5.headers:
-        fail("E5 headers differ")
-    if masked_rows(served_e5, "E5") != masked_rows(direct_e5, "E5"):
-        fail("E5 rows differ beyond host-time columns")
-    step("  ok: E5 matches (assembled from per-point service jobs)")
+    check_matches(served_e1, run_e1(quick=True), "E1", "one job, whole result")
+    check_matches(served_by_points(client, "E3"), run_e3(quick=True), "E3",
+                  "assembled from per-point service jobs")
+    check_matches(served_by_points(client, "E5"), run_e5(quick=True), "E5",
+                  "assembled from per-point service jobs")
 
 
 def phase_batched(db_dir: str) -> None:

@@ -12,6 +12,7 @@ Modules
 -------
 
 ``spec``    job/campaign specs, content-hash ids, the experiment registry
+            (the experiment table plus the ``demo`` smoke sweeps)
 ``store``   the SQLite-backed job + result store (status, provenance, rows)
 ``pool``    the host-side worker pool (fresh process per job, timeout kill)
 ``engine``  the dispatch loop: claim, submit, retry, progress, summary
@@ -24,7 +25,6 @@ from .engine import CampaignEngine, CampaignSummary, run_experiment_parallel
 from .report import assemble_results, campaign_report, campaign_status
 from .spec import (
     REGISTRY,
-    CampaignExperiment,
     CampaignSpec,
     JobSpec,
     execute_job,
@@ -41,7 +41,6 @@ __all__ = [
     "campaign_report",
     "campaign_status",
     "REGISTRY",
-    "CampaignExperiment",
     "CampaignSpec",
     "JobSpec",
     "execute_job",

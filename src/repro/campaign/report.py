@@ -28,15 +28,23 @@ def assemble_results(
 
     Returns ``(eid, replicate, result)`` tuples in store order.  Partially
     completed groups are skipped — their gaps are what ``campaign status``
-    is for, and a half-assembled sweep table would silently lie.
+    is for, and a half-assembled sweep table would silently lie.  Only the
+    jobs of the spec's current grid are assembled: a store resumed after
+    an experiment's points changed keeps its old rows, which no longer fit
+    the assembler.
     """
     wanted = list(eids) if eids is not None else store.eids()
     spec = store.campaign_spec()
+    grid = {job.job_id for job in spec.expand()}
     out: List[Tuple[str, int, ExperimentResult]] = []
     for eid in wanted:
         experiment = get_experiment(eid)
         for replicate in range(spec.replicates):
-            jobs = store.jobs_for(eid, replicate=replicate)
+            jobs = [
+                job
+                for job in store.jobs_for(eid, replicate=replicate)
+                if job.job_id in grid
+            ]
             if not jobs or any(job.status != "done" for job in jobs):
                 continue
             records = [job.record() for job in jobs]

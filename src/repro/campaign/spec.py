@@ -7,13 +7,14 @@ point, quick flag, seed), so the same spec always expands to the same ids:
 that is what lets the store skip completed jobs on ``--resume`` and what
 makes results independent of worker count or scheduling order.
 
-The registry maps experiment ids to :class:`CampaignExperiment` descriptors.
-Multi-point sweeps (E5/E6/E7) decompose into one job per sweep point via
-the ``eN_points`` / ``run_eN_point`` / ``assemble_eN`` trio in
-:mod:`repro.harness.experiments`; every other experiment runs as a single
-job whose payload is the full persisted result.  ``demo`` is a deliberately
-tiny sweep (2x2 targets, milliseconds per job) for smoke-testing pools and
-resume logic without burning minutes of simulation.
+The registry is the experiment table
+(:data:`repro.harness.experiments.ALL_EXPERIMENTS`) as it is, plus two
+campaign extras.  Every :class:`~repro.harness.experiments.Experiment`
+decomposes into one job per sweep point; single-point experiments' one job
+carries the full persisted result.  ``demo`` is a deliberately tiny sweep
+(2x2 targets, milliseconds per job) for smoke-testing pools and resume
+logic without burning minutes of simulation; ``demo-noc`` is its
+engine-aware twin.
 """
 
 from __future__ import annotations
@@ -22,17 +23,17 @@ import hashlib
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..core.config import TargetConfig
 from ..errors import ConfigError
-from ..harness import experiments as exp
-from ..harness.persist import result_from_dict, result_to_dict
+from ..harness.experiments import ALL_EXPERIMENTS, Experiment, ExperimentResult
+from ..harness.runner import run_cosim
 from ..util import derive_seed
 
 __all__ = [
     "JobSpec",
     "CampaignSpec",
-    "CampaignExperiment",
     "REGISTRY",
     "register",
     "get_experiment",
@@ -55,86 +56,14 @@ def _content_hash(data: Any) -> str:
 
 
 # ----------------------------------------------------------------------
-# Experiment descriptors
+# Campaign extras: the smoke sweeps
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class CampaignExperiment:
-    """How one experiment id decomposes into campaign jobs.
-
-    Args:
-        eid: experiment id (``E1``..``E10``, ``demo``).
-        points: ``quick -> [point, ...]`` — the sweep grid; each point must
-            be JSON-serializable (it is part of the job-id hash).
-        run_point: ``(point, quick, seed) -> record`` — one independent unit
-            of work returning a JSON-serializable record.
-        assemble: ``(records, quick, seed) -> ExperimentResult`` — combine
-            the records (in ``points`` order) into the experiment's table.
-        default_seed: the seed the sequential ``run_eN`` uses, so an
-            unseeded campaign reproduces sequential output exactly.
-        host_time_columns: header names whose values are host wall-clock
-            measurements — the sanctioned nondeterminism, excluded from
-            determinism/equivalence comparisons.
-        point_config: optional ``(point, quick, seed) -> TargetConfig`` —
-            declares the point as *one engine-executable co-simulation*.
-            Experiments that provide it (together with ``point_record``)
-            get engine selection, engine provenance in the store, and —
-            when several same-shape jobs meet in serve's admission queue —
-            lockstep batched execution.  ``run_point`` stays the sequential
-            reference; the pair must agree with it exactly.
-        point_record: optional ``(CoSimResult, point, quick, seed) ->
-            record`` — the deterministic record extractor for
-            ``point_config`` runs.  Must not include wall-clock fields:
-            records are compared byte-for-byte across engines and batch
-            sizes.
-    """
-
-    eid: str
-    points: Callable[[bool], List[Any]]
-    run_point: Callable[[Any, bool, int], Any]
-    assemble: Callable[[Sequence[Any], bool, int], "exp.ExperimentResult"]
-    default_seed: int = 3
-    host_time_columns: Tuple[str, ...] = ()
-    point_config: Optional[Callable[[Any, bool, int], Any]] = None
-    point_record: Optional[Callable[[Any, Any, bool, int], Any]] = None
-
-    @property
-    def engine_aware(self) -> bool:
-        """Whether jobs of this experiment run through the engine layer."""
-        return self.point_config is not None and self.point_record is not None
-
-
-def _whole_experiment(eid: str, default_seed: int, host_time_columns=()) -> CampaignExperiment:
-    """A single-job descriptor: the record is the full persisted result."""
-    runner = exp.ALL_EXPERIMENTS[eid]
-
-    def points(quick: bool) -> List[Any]:
-        return [None]
-
-    def run_point(point: Any, quick: bool, seed: int) -> Any:
-        return result_to_dict(runner(quick=quick, seed=seed))
-
-    def assemble(records: Sequence[Any], quick: bool, seed: int):
-        return result_from_dict(records[0], source=f"{eid} job payload")
-
-    return CampaignExperiment(
-        eid=eid,
-        points=points,
-        run_point=run_point,
-        assemble=assemble,
-        default_seed=default_seed,
-        host_time_columns=tuple(host_time_columns),
-    )
-
-
 def _demo_points(quick: bool) -> List[Any]:
     return [[i] for i in range(2 if quick else 4)]
 
 
 def _demo_run_point(point: Any, quick: bool, seed: int) -> Any:
     """A milliseconds-scale real co-simulation (2x2 CMP, abstract network)."""
-    from ..core.config import TargetConfig
-    from ..harness.runner import run_cosim
-
     (index,) = point
     config = TargetConfig(
         width=2,
@@ -149,7 +78,7 @@ def _demo_run_point(point: Any, quick: bool, seed: int) -> Any:
 
 
 def _demo_assemble(records: Sequence[Any], quick: bool, seed: int):
-    return exp.ExperimentResult(
+    return ExperimentResult(
         eid="demo",
         title="Campaign smoke sweep (tiny 2x2 co-simulations)",
         headers=["job", "finish", "mean_lat"],
@@ -162,18 +91,12 @@ def _demo_assemble(records: Sequence[Any], quick: bool, seed: int):
 #
 # Like ``demo`` but on the detailed simd network model, with the point
 # declared via ``point_config``/``point_record`` — the exemplar (and smoke
-# test) for engine selection, lockstep batching, and engine provenance.
-# Every point shares one 4x4 mesh shape, so a serve daemon holding K of
-# these dispatches them as lanes of a single batched kernel invocation.
+# test) for engine provenance and lockstep batching.  Every point shares
+# one 4x4 mesh shape, so a serve daemon holding K of these dispatches them
+# as lanes of a single batched kernel invocation.
 
 
-def _demo_noc_points(quick: bool) -> List[Any]:
-    return [[i] for i in range(2 if quick else 4)]
-
-
-def _demo_noc_config(point: Any, quick: bool, seed: int):
-    from ..core.config import TargetConfig
-
+def _demo_noc_config(point: Any, quick: bool, seed: int) -> TargetConfig:
     (index,) = point
     return TargetConfig(
         width=4,
@@ -198,16 +121,8 @@ def _demo_noc_record(result: Any, point: Any, quick: bool, seed: int) -> Any:
     ]
 
 
-def _demo_noc_run_point(point: Any, quick: bool, seed: int) -> Any:
-    """Sequential reference: one engine-selected co-simulation."""
-    from ..core.config import build_cosim
-
-    cosim = build_cosim(_demo_noc_config(point, quick, seed))
-    return _demo_noc_record(cosim.run(), point, quick, seed)
-
-
 def _demo_noc_assemble(records: Sequence[Any], quick: bool, seed: int):
-    return exp.ExperimentResult(
+    return ExperimentResult(
         eid="demo-noc",
         title="Engine smoke sweep (4x4 simd-model co-simulations)",
         headers=["job", "finish", "mean_lat", "deliveries"],
@@ -216,65 +131,33 @@ def _demo_noc_assemble(records: Sequence[Any], quick: bool, seed: int):
     )
 
 
-def _build_registry() -> Dict[str, CampaignExperiment]:
-    registry: Dict[str, CampaignExperiment] = {}
-    # Multi-point sweeps: one job per sweep point.
-    registry["E5"] = CampaignExperiment(
-        eid="E5",
-        points=exp.e5_points,
-        run_point=exp.run_e5_point,
-        assemble=exp.assemble_e5,
-    )
-    registry["E6"] = CampaignExperiment(
-        eid="E6",
-        points=exp.e6_points,
-        run_point=exp.run_e6_point,
-        assemble=exp.assemble_e6,
-        host_time_columns=("cpu_time", "gpu_time", "gpu_reduction"),
-    )
-    registry["E7"] = CampaignExperiment(
-        eid="E7",
-        points=exp.e7_points,
-        run_point=exp.run_e7_point,
-        assemble=exp.assemble_e7,
-        host_time_columns=("wall_s",),
-    )
-    registry["E11"] = CampaignExperiment(
-        eid="E11",
-        points=exp.e11_points,
-        run_point=exp.run_e11_point,
-        assemble=exp.assemble_e11,
-    )
-    # Everything else: one job runs the whole experiment.
-    seeds = {"E1": 11, "E2": 5}
-    for eid in sorted(exp.ALL_EXPERIMENTS, key=lambda e: (len(e), e)):
-        if eid not in registry:
-            registry[eid] = _whole_experiment(eid, default_seed=seeds.get(eid, 3))
-    registry["demo"] = CampaignExperiment(
+#: experiment id -> :class:`Experiment` (extensible via :func:`register`)
+REGISTRY: Dict[str, Experiment] = {
+    **ALL_EXPERIMENTS,
+    "demo": Experiment(
         eid="demo",
         points=_demo_points,
         run_point=_demo_run_point,
         assemble=_demo_assemble,
         default_seed=1,
-    )
-    registry["demo-noc"] = CampaignExperiment(
+    ),
+    "demo-noc": Experiment(
         eid="demo-noc",
-        points=_demo_noc_points,
-        run_point=_demo_noc_run_point,
+        points=_demo_points,
+        run_point=lambda point, quick, seed: _demo_noc_record(
+            run_cosim(_demo_noc_config(point, quick, seed), cache=False),
+            point, quick, seed,
+        ),
         assemble=_demo_noc_assemble,
         default_seed=1,
         point_config=_demo_noc_config,
         point_record=_demo_noc_record,
-    )
-    return registry
+    ),
+}
 
 
-#: experiment id -> descriptor (extensible via :func:`register`)
-REGISTRY: Dict[str, CampaignExperiment] = _build_registry()
-
-
-def register(experiment: CampaignExperiment) -> None:
-    """Add (or replace) a campaign experiment descriptor.
+def register(experiment: Experiment) -> None:
+    """Add (or replace) a campaign experiment.
 
     Registered callables must be importable/inheritable by worker processes:
     with the default ``fork`` start method anything defined before the pool
@@ -283,7 +166,7 @@ def register(experiment: CampaignExperiment) -> None:
     REGISTRY[experiment.eid] = experiment
 
 
-def get_experiment(eid: str) -> CampaignExperiment:
+def get_experiment(eid: str) -> Experiment:
     try:
         return REGISTRY[eid]
     except KeyError:
@@ -443,23 +326,22 @@ class CampaignSpec:
         return cls.from_dict(json.loads(text))
 
 
-def _run_point(experiment: CampaignExperiment, spec: JobSpec) -> dict:
+def _run_point(experiment: Experiment, spec: JobSpec) -> dict:
     """Run one point; an engine-aware one also gets engine provenance.
 
+    The provenance is what :func:`~repro.engine.api.resolve_engine` decides
+    for the point's config — the decision ``build_cosim`` makes for the run.
     The ``_provenance`` key rides in the payload only as far as the store's
     ``mark_done``, which lifts it into dedicated columns — the canonical
     payload text stays byte-identical across engines.
     """
-    if not experiment.engine_aware:
-        return {"record": experiment.run_point(spec.point, spec.quick, spec.seed)}
-    from ..core.config import build_cosim  # deferred: workers import lazily
+    payload = {"record": experiment.run_point(spec.point, spec.quick, spec.seed)}
+    if experiment.engine_aware:
+        from ..engine.api import resolve_engine  # deferred: workers import lazily
 
-    config = experiment.point_config(spec.point, spec.quick, spec.seed)
-    cosim = build_cosim(config)
-    record = experiment.point_record(cosim.run(), spec.point, spec.quick, spec.seed)
-    payload = {"record": record}
-    decision = getattr(cosim, "engine_decision", None)
-    if decision is not None:
+        decision = resolve_engine(
+            experiment.point_config(spec.point, spec.quick, spec.seed)
+        )
         payload["_provenance"] = {
             "engine": decision.name,
             "kernel_version": decision.kernel_version,
@@ -531,7 +413,7 @@ def execute_job_batch(jobs: Sequence[dict]) -> dict:
     from ..engine.batch import run_cosim_batch  # deferred
 
     specs: List[JobSpec] = []
-    experiments: List[CampaignExperiment] = []
+    experiments: List[Experiment] = []
     configs = []
     for job in jobs:
         spec = JobSpec.from_dict(

@@ -1,9 +1,15 @@
-"""One entry point per reproduced experiment (E1..E9 in DESIGN.md).
+"""The experiment table: every reproduced experiment (E1..E11), declared once.
 
-Each ``run_eN`` returns an :class:`ExperimentResult` whose rows are the
-table/figure series the paper's evaluation would carry; ``render()`` prints
-them.  ``quick=True`` shrinks workloads/target sizes for test suites; the
-benchmark harness runs the full versions.
+Each entry of :data:`ALL_EXPERIMENTS` is an :class:`Experiment` — a sweep
+grid (``points``), one independent unit of work per point (``run_point``)
+and a combiner (``assemble``) — shaped like mplc's
+``Experiment(scenarios_list, nb_repeats)``.  Calling an entry runs its points
+in order and assembles them: ``run_e3(quick=True)`` is the sequential
+driver, and the campaign engine and the serve daemon fan the very same
+points out as jobs, which is why their output equals a sequential run.
+E1/E2/E8/E9/E10 are single-point entries whose record is the whole
+persisted result.  ``quick=True`` shrinks workloads/target sizes for test
+suites; the benchmark harness runs the full versions.
 
 The detailed network in accuracy experiments is the SIMD simulator (it is
 statistically interchangeable with the OO simulator — validated by E1 and
@@ -15,12 +21,13 @@ network at quantum 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.config import TargetConfig, default_target_table
 from ..errors import ConfigError
 from ..noc.config import NocConfig
 from ..noc.topology import Mesh
+from ..util import derive_seed
 from ..workloads.apps import splash_apps
 from ..workloads.synthetic import SyntheticTraffic
 from ..workloads.traces import TraceInjector, matched_load_synthetic
@@ -31,6 +38,7 @@ from .runner import make_network, run_cosim, run_cosim_traced, sweep_injection
 from .timing import HostTimingModel, measured_reduction
 
 __all__ = [
+    "Experiment",
     "ExperimentResult",
     "run_table1",
     "run_e1",
@@ -44,6 +52,10 @@ __all__ = [
     "run_e9",
     "run_e10",
     "run_e11",
+    "accuracy_points",
+    "run_accuracy_point",
+    "assemble_e3",
+    "assemble_e4",
     "e5_points",
     "run_e5_point",
     "assemble_e5",
@@ -142,6 +154,89 @@ class ExperimentResult:
         return "\n".join(lines)
 
 
+@dataclass(frozen=True)
+class Experiment:
+    """One experiment: its sweep grid, point function and assembler.
+
+    Args:
+        eid: experiment id (``E1``..``E11``, or a campaign extra such as
+            ``demo``).
+        points: ``quick -> [point, ...]`` — the sweep grid; each point must
+            be JSON-serializable (it is part of a campaign job's id hash).
+        run_point: ``(point, quick, seed) -> record`` — one independent unit
+            of work returning a JSON-serializable record.
+        assemble: ``(records, quick, seed) -> ExperimentResult`` — combine
+            the records (in ``points`` order) into the experiment's table.
+        default_seed: the seed used when none is given, by a call and by an
+            unseeded campaign alike.
+        host_time_columns: header names whose values are host wall-clock
+            measurements — the sanctioned nondeterminism, excluded from
+            determinism/equivalence comparisons.
+        point_config: optional ``(point, quick, seed) -> TargetConfig`` —
+            declares the point as *one engine-executable co-simulation*.
+            Experiments that provide it (together with ``point_record``)
+            get engine provenance in the campaign store and — when several
+            same-shape jobs meet in serve's admission queue — lockstep
+            batched execution.  ``run_point`` stays the sequential
+            reference; the pair must agree with it exactly.
+        point_record: optional ``(CoSimResult, point, quick, seed) ->
+            record`` — the deterministic record extractor for
+            ``point_config`` runs.  Must not include wall-clock fields:
+            records are compared byte-for-byte across engines and batch
+            sizes.
+    """
+
+    eid: str
+    points: Callable[[bool], List[Any]]
+    run_point: Callable[[Any, bool, int], Any]
+    assemble: Callable[[Sequence[Any], bool, int], ExperimentResult]
+    default_seed: int = 3
+    host_time_columns: Tuple[str, ...] = ()
+    point_config: Optional[Callable[[Any, bool, int], Any]] = None
+    point_record: Optional[Callable[[Any, Any, bool, int], Any]] = None
+
+    @property
+    def engine_aware(self) -> bool:
+        """Whether jobs of this experiment can run as engine lanes."""
+        return self.point_config is not None and self.point_record is not None
+
+    @property
+    def __name__(self) -> str:
+        """The entry's ``run_eN`` name, as the function it stands for had."""
+        return f"run_{self.eid.lower()}"
+
+    def __call__(self, quick: bool = False, seed: Optional[int] = None) -> ExperimentResult:
+        """Run every point in order and assemble the records."""
+        if seed is None:
+            seed = self.default_seed
+        records = [self.run_point(point, quick, seed) for point in self.points(quick)]
+        return self.assemble(records, quick, seed)
+
+
+def _whole_experiment(
+    eid: str, run: Callable[[bool, int], ExperimentResult], default_seed: int = 3
+) -> Experiment:
+    """A single-point experiment: the record is the full persisted result."""
+
+    def run_point(point: Any, quick: bool, seed: int) -> dict:
+        from .persist import result_to_dict  # deferred: persist imports us
+
+        return result_to_dict(run(quick, seed))
+
+    def assemble(records: Sequence[Any], quick: bool, seed: int) -> ExperimentResult:
+        from .persist import result_from_dict
+
+        return result_from_dict(records[0], source=f"{eid} job payload")
+
+    return Experiment(
+        eid=eid,
+        points=lambda quick: [None],
+        run_point=run_point,
+        assemble=assemble,
+        default_seed=default_seed,
+    )
+
+
 def run_table1() -> str:
     """The target-machine configuration table (paper Table 1 analogue)."""
     return format_kv(default_target_table(), title="Target system configuration")
@@ -166,7 +261,7 @@ def _abstract_curve(topo, noc, model, pattern, rate, cycles, seed) -> float:
     return total / count if count else 0.0
 
 
-def run_e1(quick: bool = False, seed: int = 11) -> ExperimentResult:
+def _e1(quick: bool, seed: int) -> ExperimentResult:
     """Latency vs offered load: cycle-level (OO), SIMD, fixed, queueing."""
     from ..abstractnet import FixedLatencyModel, QueueingLatencyModel
 
@@ -241,7 +336,7 @@ def run_e1(quick: bool = False, seed: int = 11) -> ExperimentResult:
 # ----------------------------------------------------------------------
 # E2: vacuum (isolated) simulation vs in-context simulation
 # ----------------------------------------------------------------------
-def run_e2(quick: bool = False, seed: int = 5) -> ExperimentResult:
+def _e2(quick: bool, seed: int) -> ExperimentResult:
     """Isolated NoC evaluation error: trace replay and matched-load Bernoulli
     traffic vs the same network in full-system context."""
     apps = ["radix"] if quick else ["fft", "radix", "ocean", "barnes"]
@@ -303,124 +398,81 @@ def run_e2(quick: bool = False, seed: int = 5) -> ExperimentResult:
 # ----------------------------------------------------------------------
 # E3/E4: accuracy of abstract model vs reciprocal abstraction
 # ----------------------------------------------------------------------
-def _accuracy_sweep(quick: bool, seed: int) -> List[Dict]:
+# E3 and E4 share one per-app grid and one point function: each point runs
+# the ground truth (detailed, quantum 1), RA (detailed, quantum 4) and the
+# two abstract models once, and the record carries what both tables need.
+
+
+def accuracy_points(quick: bool = False) -> List[List[str]]:
+    """One point per application."""
     apps = ["fft", "water"] if quick else splash_apps()
+    return [[app] for app in apps]
+
+
+def run_accuracy_point(point: Sequence[str], quick: bool = False, seed: int = 3) -> tuple:
+    """One app: ``(app, truth/fixed/queueing/RA latency, truth/fixed/RA finish)``."""
+    (app,) = point
     scale = 0.4 if quick else 1.0
-    runs = []
-    for app in apps:
-        base = TargetConfig(width=4, height=4, app=app, seed=seed, scale=scale)
-        truth = run_cosim(base.variant(network_model="simd", quantum=1))
-        ra = run_cosim(base.variant(network_model="simd", quantum=4))
-        fixed = run_cosim(base.variant(network_model="fixed"))
-        queueing = run_cosim(base.variant(network_model="queueing"))
-        runs.append(
-            {
-                "app": app,
-                "truth": truth,
-                "ra": ra,
-                "fixed": fixed,
-                "queueing": queueing,
-            }
-        )
-    return runs
+    base = TargetConfig(width=4, height=4, app=app, seed=seed, scale=scale)
+    truth = run_cosim(base.variant(network_model="simd", quantum=1))
+    ra = run_cosim(base.variant(network_model="simd", quantum=4))
+    fixed = run_cosim(base.variant(network_model="fixed"))
+    queueing = run_cosim(base.variant(network_model="queueing"))
+    return (
+        app,
+        truth.mean_latency(), fixed.mean_latency(),
+        queueing.mean_latency(), ra.mean_latency(),
+        float(truth.finish_cycle or truth.cycles),
+        float(fixed.finish_cycle or 0), float(ra.finish_cycle or 0),
+    )
 
 
-def run_e3(quick: bool = False, seed: int = 3) -> ExperimentResult:
+def assemble_e3(
+    records: Sequence[Sequence], quick: bool = False, seed: int = 3
+) -> ExperimentResult:
     """Packet latency error: abstract network model vs RA co-simulation.
 
     The paper's headline: RA reduces latency error vs the abstract model by
     69% on average.
     """
     rows = []
-    pairs = []
-    for run in _accuracy_sweep(quick, seed):
-        truth_lat = run["truth"].mean_latency()
-        fixed_err = metrics.relative_error(run["fixed"].mean_latency(), truth_lat)
-        queue_err = metrics.relative_error(run["queueing"].mean_latency(), truth_lat)
-        ra_err = metrics.relative_error(run["ra"].mean_latency(), truth_lat)
-        pairs.append((fixed_err, ra_err))
-        rows.append(
-            (
-                run["app"],
-                truth_lat,
-                run["fixed"].mean_latency(),
-                run["queueing"].mean_latency(),
-                run["ra"].mean_latency(),
-                fixed_err,
-                queue_err,
-                ra_err,
-            )
-        )
-    reduction = metrics.mean_error_reduction(pairs)
+    for app, truth, fixed, queueing, ra, *_ in records:
+        errors = [metrics.relative_error(lat, truth) for lat in (fixed, queueing, ra)]
+        rows.append((app, truth, fixed, queueing, ra, *errors))
+    reduction = metrics.mean_error_reduction([(row[5], row[7]) for row in rows])
     return ExperimentResult(
         eid="E3",
         title="Packet latency error vs cycle-accurate ground truth (per app)",
-        headers=[
-            "app",
-            "truth_lat",
-            "fixed_lat",
-            "queueing_lat",
-            "ra_lat",
-            "fixed_err",
-            "queueing_err",
-            "ra_err",
-        ],
+        headers=["app", "truth_lat", "fixed_lat", "queueing_lat", "ra_lat",
+                 "fixed_err", "queueing_err", "ra_err"],
         rows=rows,
-        notes={
-            "ra_error_reduction_vs_fixed": reduction,
-            "paper_anchor_reduction": 0.69,
-        },
+        notes={"ra_error_reduction_vs_fixed": reduction, "paper_anchor_reduction": 0.69},
     )
 
 
-def run_e4(quick: bool = False, seed: int = 3) -> ExperimentResult:
+def assemble_e4(
+    records: Sequence[Sequence], quick: bool = False, seed: int = 3
+) -> ExperimentResult:
     """Full-system execution-time error from the network-model choice."""
     rows = []
-    pairs = []
-    for run in _accuracy_sweep(quick, seed):
-        truth_finish = float(run["truth"].finish_cycle or run["truth"].cycles)
-        fixed_err = metrics.relative_error(
-            float(run["fixed"].finish_cycle or 0), truth_finish
-        )
-        ra_err = metrics.relative_error(
-            float(run["ra"].finish_cycle or 0), truth_finish
-        )
-        pairs.append((fixed_err, ra_err))
-        rows.append(
-            (
-                run["app"],
-                truth_finish,
-                float(run["fixed"].finish_cycle or 0),
-                float(run["ra"].finish_cycle or 0),
-                fixed_err,
-                ra_err,
-            )
-        )
+    for app, *_, truth, fixed, ra in records:
+        errors = [metrics.relative_error(finish, truth) for finish in (fixed, ra)]
+        rows.append((app, truth, fixed, ra, *errors))
+    reduction = metrics.mean_error_reduction([(row[4], row[5]) for row in rows])
     return ExperimentResult(
         eid="E4",
         title="Target execution-time error from the network model (per app)",
-        headers=[
-            "app",
-            "truth_finish",
-            "fixed_finish",
-            "ra_finish",
-            "fixed_err",
-            "ra_err",
-        ],
+        headers=["app", "truth_finish", "fixed_finish", "ra_finish", "fixed_err", "ra_err"],
         rows=rows,
-        notes={"ra_runtime_error_reduction": metrics.mean_error_reduction(pairs)},
+        notes={"ra_runtime_error_reduction": reduction},
     )
 
 
 # ----------------------------------------------------------------------
 # E5: design-space exploration through the detailed component
 # ----------------------------------------------------------------------
-# E5/E6/E7 are multi-point sweeps.  Each is split into ``eN_points`` (the
-# sweep grid), ``run_eN_point`` (one independent, JSON-serializable unit of
-# work), and ``assemble_eN`` (cross-point aggregates) so the campaign engine
-# (:mod:`repro.campaign`) can fan the points out across worker processes;
-# the sequential ``run_eN`` entry points compose exactly these pieces, which
-# is what guarantees campaign output is identical to a sequential run.
+# A router design sweep (VCs x buffers): visible through RA, invisible to
+# the abstract model.
 
 
 def e5_points(quick: bool = False) -> List[List[int]]:
@@ -463,16 +515,15 @@ def assemble_e5(
     )
 
 
-def run_e5(quick: bool = False, seed: int = 3) -> ExperimentResult:
-    """Router design sweep (VCs x buffers): visible through RA, invisible to
-    the abstract model."""
-    rows = [run_e5_point(p, quick, seed) for p in e5_points(quick)]
-    return assemble_e5(rows, quick, seed)
-
-
 # ----------------------------------------------------------------------
 # E6: CPU vs CPU+GPU co-simulation time
 # ----------------------------------------------------------------------
+# Host co-simulation time at 64/256/512-core targets.  Measured part: wall
+# clock of real co-simulations with the OO network ("CPU") vs the SIMD
+# network ("GPU") over a fixed window of target cycles.  Modelled part: the
+# paper-calibrated cost model (16% @ 256, 65% @ 512).
+
+
 def e6_points(quick: bool = False) -> List[List[int]]:
     """The measured (width, height) target sizes."""
     return [[4, 4], [8, 8]] if quick else [[8, 8], [16, 16], [32, 16]]
@@ -530,21 +581,12 @@ def assemble_e6(
     )
 
 
-def run_e6(quick: bool = False, seed: int = 3) -> ExperimentResult:
-    """Host co-simulation time at 64/256/512-core targets.
-
-    Measured part: wall clock of real co-simulations with the OO network
-    ("CPU") vs the SIMD network ("GPU") over a fixed window of target
-    cycles.  Modelled part: the paper-calibrated cost model (16% @ 256,
-    65% @ 512).
-    """
-    rows = [run_e6_point(p, quick, seed) for p in e6_points(quick)]
-    return assemble_e6(rows, quick, seed)
-
-
 # ----------------------------------------------------------------------
 # E7: synchronization-quantum ablation
 # ----------------------------------------------------------------------
+# Quantum size vs accuracy and host cost of the RA coupling.
+
+
 def e7_points(quick: bool = False) -> List[List[int]]:
     """The quantum grid; quantum 1 leads and serves as the reference."""
     quanta = [1, 16, 64] if quick else [1, 4, 16, 64, 256]
@@ -613,16 +655,10 @@ def assemble_e7(
     )
 
 
-def run_e7(quick: bool = False, seed: int = 3) -> ExperimentResult:
-    """Quantum size vs accuracy and host cost of the RA coupling."""
-    records = [run_e7_point(p, quick, seed) for p in e7_points(quick)]
-    return assemble_e7(records, quick, seed)
-
-
 # ----------------------------------------------------------------------
 # E8: which direction of reciprocity matters
 # ----------------------------------------------------------------------
-def run_e8(quick: bool = False, seed: int = 3) -> ExperimentResult:
+def _e8(quick: bool, seed: int) -> ExperimentResult:
     """Full RA vs table-feedback hybrid vs pure abstract model."""
     scale = 0.4 if quick else 1.0
     base = TargetConfig(width=4, height=4, app="fft", seed=seed, scale=scale)
@@ -668,7 +704,7 @@ def run_e8(quick: bool = False, seed: int = 3) -> ExperimentResult:
 # ----------------------------------------------------------------------
 # E9 (extension): adaptive synchronization quantum
 # ----------------------------------------------------------------------
-def run_e9(quick: bool = False, seed: int = 3) -> ExperimentResult:
+def _e9(quick: bool, seed: int) -> ExperimentResult:
     """Adaptive vs fixed quantum: accuracy per synchronization window.
 
     This is the natural refinement of the paper's coupling (not evaluated
@@ -730,7 +766,7 @@ def run_e9(quick: bool = False, seed: int = 3) -> ExperimentResult:
 # ----------------------------------------------------------------------
 # E10 (extension): memory-model fidelity under reciprocal abstraction
 # ----------------------------------------------------------------------
-def run_e10(quick: bool = False, seed: int = 3) -> ExperimentResult:
+def _e10(quick: bool, seed: int) -> ExperimentResult:
     """Fidelity mixing beyond the NoC: flat memory vs detailed DRAM.
 
     Reciprocal abstraction's premise is that *any* component can be swapped
@@ -790,50 +826,115 @@ def run_e10(quick: bool = False, seed: int = 3) -> ExperimentResult:
 # ----------------------------------------------------------------------
 # E11 (extension): fault injection and graceful degradation
 # ----------------------------------------------------------------------
-# Thin wrappers over :mod:`repro.resilience.experiment` (imported lazily so
-# the harness never pays for the resilience package unless E11 runs); the
-# trio shape matches E5/E6/E7 so the campaign engine can fan out the levels.
+# A fault-severity sweep: ``level`` link fail-stops plus a proportional
+# flit-corruption rate on the cycle-level network, with the fixed-latency
+# model alongside as the control (no links to fail, so its curve is flat by
+# construction) — fault response is behaviour only the detailed model shows.
+# Level 0 attaches no fault schedule (``faults=None``): its row is the
+# pre-resilience code path and the zero-overhead control.
 
 
 def e11_points(quick: bool = False) -> List[List[int]]:
-    """The fault-severity grid (see :mod:`repro.resilience.experiment`)."""
-    from ..resilience.experiment import e11_points as points
+    """The fault-severity grid: permanent link failures per level."""
+    return [[0], [2]] if quick else [[0], [1], [2], [4]]
 
-    return points(quick)
+
+def _fault_config(level: int, quick: bool, seed: int):
+    """The fault schedule for one severity level (deterministic in seed)."""
+    # Deferred: the harness never pays for the resilience package unless
+    # E11 runs.
+    from ..resilience.faults import FaultConfig
+
+    return FaultConfig(
+        seed=derive_seed(seed, "e11", level),
+        link_failures=level,
+        corrupt_rate=0.003 * level,
+        window=4_000 if quick else 12_000,
+    )
 
 
 def run_e11_point(point: Sequence[int], quick: bool = False, seed: int = 3) -> tuple:
-    """One fault level: faulty detailed run + fault-blind abstract run."""
-    from ..resilience.experiment import run_e11_point as run_point
-
-    return run_point(point, quick, seed)
+    """One severity level: faulty detailed run + fault-blind abstract run."""
+    (level,) = point
+    scale = 0.15 if quick else 0.5
+    base = TargetConfig(
+        width=4, height=4, app="fft", seed=seed, scale=scale,
+        network_model="cycle", quantum=4,
+    )
+    if level == 0:
+        detailed = run_cosim(base)  # faults=None: the pre-resilience code path
+    else:
+        detailed = run_cosim(base.variant(faults=_fault_config(level, quick, seed)))
+    abstract = run_cosim(base.variant(network_model="fixed"))
+    resil = detailed.network_description.get("resilience") or {}
+    return (
+        f"{level} faults",
+        float(detailed.finish_cycle or detailed.cycles),
+        detailed.mean_latency(),
+        abstract.mean_latency(),
+        float(resil.get("retransmits", 0)),
+        float(resil.get("corrupt_drops", 0)),
+    )
 
 
 def assemble_e11(
     rows: Sequence[Sequence], quick: bool = False, seed: int = 3
 ) -> ExperimentResult:
-    from ..resilience.experiment import assemble_e11 as assemble
+    """Append the degradation-vs-baseline column and the latency curve."""
+    rows = [tuple(row) for row in rows]
+    base_lat = float(rows[0][2]) or 1.0
+    base_finish = float(rows[0][1]) or 1.0
+    full = [row + (float(row[2]) / base_lat,) for row in rows]
+    levels = [float(str(row[0]).split()[0]) for row in full]
+    chart = AsciiChart(
+        title="E11: mean latency vs fault level (x: link failures, y: cycles)"
+    )
+    chart.add_series("detailed", levels, [float(r[2]) for r in full], marker="*")
+    chart.add_series("abstract", levels, [float(r[3]) for r in full], marker="o")
+    worst = full[-1]
+    return ExperimentResult(
+        eid="E11",
+        title="Extension: fault injection — latency degradation visible only "
+        "to the detailed model",
+        headers=[
+            "faults", "finish", "detailed_lat", "abstract_lat",
+            "retransmits", "corrupt_drops", "lat_degradation",
+        ],
+        rows=full,
+        notes={
+            "max_latency_degradation": float(worst[6]),
+            "max_runtime_degradation": float(worst[1]) / base_finish,
+            "abstract_model_degradation": float(full[-1][3]) / (float(full[0][3]) or 1.0),
+        },
+        figures=[chart.render()],
+    )
 
-    return assemble(rows, quick, seed)
 
-
-def run_e11(quick: bool = False, seed: int = 3) -> ExperimentResult:
-    """Fault-severity sweep: latency degradation only the detailed model sees."""
-    from ..resilience.experiment import run_e11 as run
-
-    return run(quick=quick, seed=seed)
-
-
-ALL_EXPERIMENTS = {
-    "E1": run_e1,
-    "E2": run_e2,
-    "E3": run_e3,
-    "E4": run_e4,
-    "E5": run_e5,
-    "E6": run_e6,
-    "E7": run_e7,
-    "E8": run_e8,
-    "E9": run_e9,
-    "E10": run_e10,
-    "E11": run_e11,
+# ----------------------------------------------------------------------
+# The table
+# ----------------------------------------------------------------------
+#: experiment id -> :class:`Experiment`; the campaign registry and the serve
+#: catalog read these entries as they are.
+ALL_EXPERIMENTS: Dict[str, Experiment] = {
+    experiment.eid: experiment
+    for experiment in (
+        _whole_experiment("E1", _e1, default_seed=11),
+        _whole_experiment("E2", _e2, default_seed=5),
+        Experiment("E3", accuracy_points, run_accuracy_point, assemble_e3),
+        Experiment("E4", accuracy_points, run_accuracy_point, assemble_e4),
+        Experiment("E5", e5_points, run_e5_point, assemble_e5),
+        Experiment(
+            "E6", e6_points, run_e6_point, assemble_e6,
+            host_time_columns=("cpu_time", "gpu_time", "gpu_reduction"),
+        ),
+        Experiment("E7", e7_points, run_e7_point, assemble_e7, host_time_columns=("wall_s",)),
+        _whole_experiment("E8", _e8),
+        _whole_experiment("E9", _e9),
+        _whole_experiment("E10", _e10),
+        Experiment("E11", e11_points, run_e11_point, assemble_e11),
+    )
 }
+
+# ``run_eN`` is the table's entry itself (insertion order is E1..E11).
+(run_e1, run_e2, run_e3, run_e4, run_e5, run_e6,
+ run_e7, run_e8, run_e9, run_e10, run_e11) = ALL_EXPERIMENTS.values()

@@ -23,9 +23,10 @@ Everything is *opt in*: with no fault schedule attached and no checkpointer
 installed, the simulator takes exactly the code paths it took before this
 package existed and produces bit-identical metrics.
 
-``repro.resilience.fixtures`` (livelock fixtures), ``.experiment`` (the E11
-fault sweep), and ``.cli`` (``python -m repro resilience``) are imported on
-demand rather than here to keep the package import light.
+``repro.resilience.fixtures`` (livelock fixtures) and ``.cli`` (``python -m
+repro resilience``) are imported on demand rather than here to keep the
+package import light.  The E11 fault sweep that exercises this package is an
+entry of the experiment table, :mod:`repro.harness.experiments`.
 """
 
 from .checkpoint import (

@@ -17,7 +17,6 @@ import pytest
 from repro.campaign import (
     REGISTRY,
     CampaignEngine,
-    CampaignExperiment,
     CampaignSpec,
     JobSpec,
     ResultStore,
@@ -30,7 +29,7 @@ from repro.campaign import (
 )
 from repro.campaign.pool import WorkerPool
 from repro.errors import ConfigError
-from repro.harness.experiments import ExperimentResult
+from repro.harness.experiments import Experiment, ExperimentResult
 from repro.util import derive_seed
 
 
@@ -90,7 +89,7 @@ def registry_cleanup():
 @pytest.fixture
 def tiny(registry_cleanup):
     registry_cleanup(
-        CampaignExperiment(
+        Experiment(
             eid="TINY",
             points=_tiny_points,
             run_point=_tiny_run_point,
@@ -341,7 +340,7 @@ class TestPool:
 
     def test_worker_exception_is_an_error_outcome(self, registry_cleanup, tmp_path):
         registry_cleanup(
-            CampaignExperiment(
+            Experiment(
                 eid="BOOM",
                 points=lambda quick: [[0, str(tmp_path)]],
                 run_point=_flaky_run_point,
@@ -357,7 +356,7 @@ class TestPool:
 
     def test_timeout_kills_the_worker(self, registry_cleanup):
         registry_cleanup(
-            CampaignExperiment(
+            Experiment(
                 eid="SLEEPY",
                 points=lambda quick: [[0]],
                 run_point=_sleepy_run_point,
@@ -432,7 +431,7 @@ class TestEngine:
 
     def test_retries_requeue_on_fresh_process(self, registry_cleanup, tmp_path):
         registry_cleanup(
-            CampaignExperiment(
+            Experiment(
                 eid="FLAKY",
                 points=lambda quick: [[i, str(tmp_path / "scratch")] for i in range(2)],
                 run_point=_flaky_run_point,
@@ -456,7 +455,7 @@ class TestEngine:
 
     def test_timeout_marks_failed(self, registry_cleanup, tmp_path):
         registry_cleanup(
-            CampaignExperiment(
+            Experiment(
                 eid="SLEEPY",
                 points=lambda quick: [[0]],
                 run_point=_sleepy_run_point,
@@ -515,6 +514,23 @@ class TestReport:
         store.mark_done(job.job_id, {"record": [0, 0]}, 0.1)
         assert assemble_results(store) == []
         assert "incomplete" in campaign_report(store)
+
+    def test_rows_off_the_current_grid_are_not_assembled(self, tmp_path, tiny):
+        # A store written when the experiment was one whole-result job,
+        # resumed after it became per-point: the old row stays but is
+        # not the grid's, so it must not reach the assembler.
+        store = ResultStore(tmp_path / "c.db")
+        store.initialize(CampaignSpec(experiments=(tiny,)))
+        stale = JobSpec(eid=tiny, point_index=0, point=None, quick=False, seed=7)
+        store.add_jobs([stale])
+        store.mark_running(stale.job_id, "w")
+        store.mark_done(stale.job_id, {"record": {"schema": 1}}, 0.1)
+        assert _run_campaign(store, workers=2).ok
+        ((_, _, result),) = assemble_results(store)
+        direct = _tiny_assemble(
+            [_tiny_run_point([i], False, 7) for i in range(3)], False, 7
+        )
+        assert result == direct
 
     def test_report_renders_tables(self, tmp_path):
         store = self._completed_store(tmp_path)

@@ -15,7 +15,6 @@ import pytest
 from repro.campaign import (
     REGISTRY,
     CampaignEngine,
-    CampaignExperiment,
     CampaignSpec,
     ResultStore,
     execute_job,
@@ -24,7 +23,7 @@ from repro.campaign import (
 from repro.campaign.pool import WorkerPool
 from repro.core.config import TargetConfig, build_cosim
 from repro.errors import ConfigError
-from repro.harness.experiments import ExperimentResult
+from repro.harness.experiments import Experiment, ExperimentResult
 from repro.harness.runner import _config_key, run_cosim
 from repro.resilience.checkpoint import (
     Checkpointer,
@@ -99,7 +98,7 @@ def _make_store(spec):
 class TestKillEscalation:
     def test_sigterm_immune_worker_is_sigkilled(self, registry_cleanup):
         registry_cleanup(
-            CampaignExperiment(
+            Experiment(
                 eid="STUBBORN",
                 points=_tiny_points,
                 run_point=_stubborn_run_point,
@@ -122,7 +121,7 @@ class TestKillEscalation:
 
     def test_shutdown_escalates_too(self, registry_cleanup):
         registry_cleanup(
-            CampaignExperiment(
+            Experiment(
                 eid="STUBBORN",
                 points=_tiny_points,
                 run_point=_stubborn_run_point,
@@ -179,7 +178,7 @@ class TestRetryBackoff:
 
     def test_retry_waits_out_the_backoff(self, registry_cleanup, tmp_path):
         registry_cleanup(
-            CampaignExperiment(
+            Experiment(
                 eid="FLAKY",
                 points=lambda quick: [[0, str(tmp_path)]],
                 run_point=_flaky_run_point,
@@ -210,7 +209,7 @@ class TestJobCheckpoints:
 
     def test_execute_job_strips_checkpoint_key(self, registry_cleanup, tmp_path):
         registry_cleanup(
-            CampaignExperiment(
+            Experiment(
                 eid="RTINY",
                 points=_tiny_points,
                 run_point=_tiny_run_point,
@@ -246,6 +245,36 @@ class TestJobCheckpoints:
         # A finished run removes its snapshot so nothing stale can leak.
         assert not os.path.exists(path)
 
+    def test_engine_aware_job_resumes_from_a_killed_attempts_snapshot(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.resilience.checkpoint as checkpoint_module
+
+        path = str(tmp_path / "job.ckpt")
+        job = CampaignSpec(experiments=("demo-noc",), quick=True).expand()[0]
+        reference = execute_job(job.to_dict())
+        # A killed first attempt of this demo-noc point left its last
+        # quantum-boundary snapshot behind.
+        config = REGISTRY["demo-noc"].point_config(job.point, job.quick, job.seed)
+        victim = build_cosim(config)
+        victim.checkpointer = Checkpointer(
+            path, every=16, config_token=repr(_config_key(config, None))
+        )
+        victim.run(max_cycles=1200)
+        assert os.path.exists(path)
+        loaded = []
+        original = checkpoint_module.load_checkpoint
+
+        def spy(*args, **kwargs):
+            loaded.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(checkpoint_module, "load_checkpoint", spy)
+        retry = dict(job.to_dict(), _checkpoint={"path": path, "every": 16})
+        assert execute_job(retry) == reference
+        assert loaded == [path]  # resumed from the snapshot, not cycle 0
+        assert not os.path.exists(path)
+
     def test_checkpoint_scope_bypasses_the_memo_cache(self, tmp_path):
         path = str(tmp_path / "job.ckpt")
         baseline = run_cosim(SMALL)  # primes the memo cache
@@ -258,7 +287,7 @@ class TestJobCheckpoints:
         self, registry_cleanup, tmp_path
     ):
         registry_cleanup(
-            CampaignExperiment(
+            Experiment(
                 eid="RTINY",
                 points=_tiny_points,
                 run_point=_tiny_run_point,

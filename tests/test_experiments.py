@@ -1,10 +1,17 @@
 """Integration tests: every experiment runs (quick mode) and its headline
 claims hold in the reproduced direction."""
 
+import json
+
 import pytest
 
+from repro.campaign.spec import REGISTRY, CampaignSpec
 from repro.harness import ALL_EXPERIMENTS, run_table1
 from repro.harness.experiments import (
+    accuracy_points,
+    assemble_e3,
+    assemble_e4,
+    run_accuracy_point,
     run_e1,
     run_e2,
     run_e3,
@@ -91,6 +98,28 @@ class TestE3E4Accuracy:
         assert e4.rows
         for row in e4.rows:
             assert row[1] > 0  # truth finish cycles
+
+
+class TestOneDeclaration:
+    """The experiment table is the only declaration of each experiment."""
+
+    def test_campaign_registry_is_the_table(self):
+        for eid in (f"E{i}" for i in range(1, 12)):
+            assert REGISTRY[eid] is ALL_EXPERIMENTS[eid]
+
+    def test_default_seeds_are_declared_once(self):
+        assert run_e1.default_seed == 11
+        assert run_e2.default_seed == 5
+        spec = CampaignSpec(experiments=("E1", "E2"))
+        assert spec.seed_for("E1", 0) == 11
+        assert spec.seed_for("E2", 0) == 5
+
+    def test_e3_e4_assemble_from_persisted_records(self):
+        # Memoized: the same points TestE3E4Accuracy already ran.
+        records = [run_accuracy_point(p, True, 3) for p in accuracy_points(True)]
+        stored = json.loads(json.dumps(records))
+        assert assemble_e3(stored, True, 3).render() == run_e3(quick=True).render()
+        assert assemble_e4(stored, True, 3).render() == run_e4(quick=True).render()
 
 
 class TestE5DesignSpace:

@@ -164,7 +164,7 @@ class TestRouterFailStop:
 
 class TestE11Assembly:
     def test_points_and_assembly_shape(self):
-        from repro.resilience.experiment import assemble_e11, e11_points
+        from repro.harness.experiments import assemble_e11, e11_points
 
         assert e11_points(quick=True) == [[0], [2]]
         assert e11_points(quick=False) == [[0], [1], [2], [4]]

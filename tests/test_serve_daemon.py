@@ -11,8 +11,9 @@ import time
 
 import pytest
 
-from repro.campaign.spec import REGISTRY, CampaignExperiment, register
+from repro.campaign.spec import REGISTRY, register
 from repro.errors import BackpressureError, ServeError
+from repro.harness.experiments import Experiment
 from repro.serve import ServeClient, ServeConfig, ServeDaemon
 from repro.serve.metrics import PREFIX
 
@@ -34,7 +35,7 @@ def _slow_assemble(records, quick, seed):
 
 if "slowtest" not in REGISTRY:
     register(
-        CampaignExperiment(
+        Experiment(
             eid="slowtest",
             points=_slow_points,
             run_point=_slow_run_point,
