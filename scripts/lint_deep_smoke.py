@@ -26,10 +26,12 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
-from repro.analysis.flow import SummaryCache, run_deep  # noqa: E402
+from repro.analysis import run_lint  # noqa: E402
 
 PACKAGE = REPO / "src" / "repro"
 BASELINE = REPO / ".simlint-baseline.json"
+#: what ``python -m repro lint --deep`` runs
+DEEP = ("classic", "deep")
 
 
 def fail(msg: str) -> None:
@@ -39,8 +41,8 @@ def fail(msg: str) -> None:
 
 def timed_run(cache_dir: Path):
     start = time.perf_counter()
-    report = run_deep(
-        [PACKAGE], cache_dir=cache_dir, baseline_path=BASELINE
+    report = run_lint(
+        [PACKAGE], DEEP, cache_dir=cache_dir, baseline_path=BASELINE
     )
     return report, time.perf_counter() - start
 
@@ -88,13 +90,13 @@ def main() -> None:
         tree = workdir / "tree"
         shutil.copytree(PACKAGE, tree)
         inc_cache = workdir / "inc-cache"
-        run_deep([tree], cache_dir=inc_cache, baseline_path=BASELINE)
+        run_lint([tree], DEEP, cache_dir=inc_cache, baseline_path=BASELINE)
         target = tree / "errors.py"
         target.write_text(
             target.read_text(encoding="utf-8") + "\n# touched\n",
             encoding="utf-8",
         )
-        inc = run_deep([tree], cache_dir=inc_cache, baseline_path=BASELINE)
+        inc = run_lint([tree], DEEP, cache_dir=inc_cache, baseline_path=BASELINE)
         if inc.stats["cache_misses"] != 1:
             fail(
                 "editing one file re-extracted "

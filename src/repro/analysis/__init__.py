@@ -2,16 +2,18 @@
 
 Two complementary halves:
 
-* :mod:`repro.analysis.simlint` — an AST-based static-analysis pass that
-  flags simulation-correctness hazards (unseeded randomness, wall-clock
-  reads in simulated-time paths, mutable default arguments, iteration over
+* :mod:`repro.analysis.simlint` — the lint pipeline (:func:`run_lint`)
+  and its classic SIM1xx family: AST rules that flag simulation-
+  correctness hazards (unseeded randomness, wall-clock reads in
+  simulated-time paths, mutable default arguments, iteration over
   unordered sets in event-ordering code, and bare ``assert`` statements
   that vanish under ``python -O``).  Run it with ``python -m repro lint``.
-* :mod:`repro.analysis.flow` — the interprocedural deep pass (SIM2xx):
+* :mod:`repro.analysis.flow` — the interprocedural deep family (SIM2xx):
   whole-program call graph, per-function dataflow summaries cached by
   content hash, nondeterminism taint, await-atomicity, fork-safety,
-  unit-confusion, and resource-lifecycle rules.  Run it with ``python -m
-  repro lint --deep``.
+  unit-confusion, and resource-lifecycle rules.  ``python -m repro lint
+  --deep`` adds it; :mod:`repro.analysis.arrays` is the SIM3xx kernel
+  family (``--kernels``).
 * :mod:`repro.analysis.invariants` — a runtime invariant checker the
   :class:`~repro.core.cosim.CoSimulator` can install: message conservation
   per synchronization quantum, monotonic simulated time, and NoC
@@ -23,14 +25,7 @@ every run is bit-deterministic and every quantum exchange conserves
 messages; these tools make violations loud instead of silent.
 """
 
-from .flow import (
-    DEEP_RULES,
-    DeepConfig,
-    DeepReport,
-    deep_lint_paths,
-    render_sarif,
-    run_deep,
-)
+from .flow import DEEP_RULES, DeepConfig, render_sarif
 from .invariants import (
     InvariantChecker,
     check_network_invariants,
@@ -38,27 +33,28 @@ from .invariants import (
 from .simlint import (
     RULES,
     LintConfig,
+    LintReport,
     Violation,
     lint_file,
     lint_paths,
     render_json,
     render_report,
+    run_lint,
 )
 
 __all__ = [
     "DEEP_RULES",
     "RULES",
     "DeepConfig",
-    "DeepReport",
     "LintConfig",
+    "LintReport",
     "Violation",
-    "deep_lint_paths",
     "lint_file",
     "lint_paths",
     "render_json",
     "render_report",
     "render_sarif",
-    "run_deep",
+    "run_lint",
     "InvariantChecker",
     "check_network_invariants",
 ]

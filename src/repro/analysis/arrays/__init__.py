@@ -26,7 +26,6 @@ baseline, and the SARIF renderer.  Entry point:
 """
 
 from .contracts import ContractRegistry, build_registry
-from .engine import kernels_lint_paths, run_kernels
 from .rules import ARRAY_RULES, ArraysConfig
 
 __all__ = [
@@ -34,6 +33,4 @@ __all__ = [
     "ArraysConfig",
     "ContractRegistry",
     "build_registry",
-    "kernels_lint_paths",
-    "run_kernels",
 ]

@@ -19,8 +19,10 @@ import ast
 import hashlib
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+
+if TYPE_CHECKING:
+    from ..flow.parser import SourceFile
 
 __all__ = [
     "FieldSpec",
@@ -228,18 +230,24 @@ def _np_dtype_name(node: ast.AST) -> Optional[str]:
 def harvest_module(
     source: str,
 ) -> Tuple[Dict[str, Contract], Dict[str, str]]:
-    """``(contracts, dtype_bounds)`` declared by one module's source.
+    """``(contracts, dtype_bounds)`` declared by one module's source."""
+    try:
+        tree = ast.parse(source)
+    except SyntaxError:
+        return {}, {}
+    return _harvest(tree, source.splitlines())
+
+
+def _harvest(
+    tree: ast.Module, lines: Sequence[str]
+) -> Tuple[Dict[str, Contract], Dict[str, str]]:
+    """``(contracts, dtype_bounds)`` declared by one parsed module.
 
     A dtype constant counts as annotated only when its assignment line
     carries a ``# bound:`` comment — the comment *is* the contract.
     """
     contracts: Dict[str, Contract] = {}
     bounds: Dict[str, str] = {}
-    try:
-        tree = ast.parse(source)
-    except SyntaxError:
-        return contracts, bounds
-    lines = source.splitlines()
     for node in tree.body:
         if not isinstance(node, ast.Assign) or len(node.targets) != 1:
             continue
@@ -265,25 +273,22 @@ def harvest_module(
     return contracts, bounds
 
 
-def build_registry(files: Sequence[Tuple[Path, str]]) -> ContractRegistry:
-    """Scan ``(path, relpath)`` pairs for contract declarations.
+def build_registry(files: Sequence["SourceFile"]) -> ContractRegistry:
+    """Scan collected files for contract declarations.
 
     A cheap textual prescan keeps this fast: only files whose bytes
     mention ``SHAPE_CONTRACT`` or ``# bound:`` are parsed.
     """
     registry = ContractRegistry()
-    for path, rel in files:
-        try:
-            raw = path.read_bytes()
-        except OSError:
+    for src in files:
+        raw = src.raw
+        if raw is None or (b"SHAPE_CONTRACT" not in raw and b"# bound:" not in raw):
             continue
-        if b"SHAPE_CONTRACT" not in raw and b"# bound:" not in raw:
+        if src.tree is None:
             continue
-        contracts, bounds = harvest_module(
-            raw.decode("utf-8", errors="replace")
-        )
+        contracts, bounds = _harvest(src.tree, src.lines)
         if contracts or bounds:
-            registry.sources.append(rel)
+            registry.sources.append(src.rel)
         registry.contracts.update(contracts)
         registry.dtype_bounds.update(bounds)
     return registry

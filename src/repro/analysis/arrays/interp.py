@@ -1307,14 +1307,8 @@ def _functions(tree: ast.Module):
                     yield f"{node.name}.{sub.name}", sub, node.name
 
 
-def extract_kernel_module(
-    rel: str, source: str, registry: ContractRegistry
-) -> Optional[Dict]:
-    """Per-module kernel facts (JSON-serializable), or None on a parse error."""
-    try:
-        tree = ast.parse(source)
-    except SyntaxError:
-        return None
+def extract_kernel_module(tree: ast.Module, registry: ContractRegistry) -> Dict:
+    """Per-module kernel facts (JSON-serializable) of one parsed module."""
     functions: Dict[str, Dict] = {}
     for qual, node, owner in _functions(tree):
         interp = _FuncInterp(qual, node, registry, owner)

@@ -16,11 +16,10 @@ decides which become findings under an :class:`ArraysConfig`:
 
 from __future__ import annotations
 
-import fnmatch
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..rules import Violation, register_rules
+from ..rules import Violation, path_matches, register_rules
 from .contracts import ContractRegistry
 
 __all__ = ["ARRAY_RULES", "ArraysConfig", "array_violations"]
@@ -52,10 +51,6 @@ ARRAY_RULES: Dict[str, tuple] = {
 register_rules(ARRAY_RULES)
 
 
-def _matches(relpath: str, patterns: Iterable[str]) -> bool:
-    return any(fnmatch.fnmatch(relpath, p) for p in patterns)
-
-
 @dataclass
 class ArraysConfig:
     """Scoping for the SIM3xx rules (patterns are lint-root relative)."""
@@ -69,15 +64,15 @@ class ArraysConfig:
     lane_loop_paths: Tuple[str, ...] = ("engine/kernels.py",)
 
     def analyzes(self, relpath: str) -> bool:
-        return _matches(relpath, self.kernel_paths)
+        return path_matches(relpath, self.kernel_paths)
 
     def applies(self, rule: str, relpath: str) -> bool:
         if rule not in self.enabled:
             return False
-        if _matches(relpath, self.allow_paths.get(rule, ())):
+        if path_matches(relpath, self.allow_paths.get(rule, ())):
             return False
         if rule == "lane-loop":
-            return _matches(relpath, self.lane_loop_paths)
+            return path_matches(relpath, self.lane_loop_paths)
         return True
 
 

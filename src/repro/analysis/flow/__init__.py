@@ -6,8 +6,9 @@ AST pass per module (cached by content hash in :mod:`.parser`);
 :mod:`.callgraph` links them into a whole-program call graph;
 :mod:`.taint` runs the SIM201 nondeterminism fixpoint; :mod:`.rules`
 interprets the facts as findings under a :class:`DeepConfig`;
-:mod:`.engine` drives the whole thing and merges with the classic pass;
-:mod:`.sarif` and :mod:`.baseline` handle interchange and suppression.
+:mod:`.engine` is the family :func:`repro.analysis.simlint.run_lint`
+runs; :mod:`.sarif` and :mod:`.baseline` handle interchange and
+suppression.
 """
 
 from .baseline import (
@@ -17,8 +18,7 @@ from .baseline import (
     write_baseline,
 )
 from .callgraph import CallGraph, build_callgraph
-from .engine import DeepReport, deep_lint_paths, run_deep
-from .parser import ModuleSet, SummaryCache, collect_files, load_modules
+from .parser import ModuleSet, SourceFile, SummaryCache, collect_files, load_modules
 from .rules import DEEP_RULES, DeepConfig, deep_violations
 from .sarif import render_sarif
 from .summaries import extract_module
@@ -28,20 +28,18 @@ __all__ = [
     "DEEP_RULES",
     "CallGraph",
     "DeepConfig",
-    "DeepReport",
     "ModuleSet",
+    "SourceFile",
     "SummaryCache",
     "TaintAnalysis",
     "apply_baseline",
     "build_callgraph",
     "collect_files",
-    "deep_lint_paths",
     "deep_violations",
     "extract_module",
     "fingerprint_all",
     "load_baseline",
     "load_modules",
     "render_sarif",
-    "run_deep",
     "write_baseline",
 ]

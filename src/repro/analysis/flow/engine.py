@@ -1,136 +1,48 @@
-"""Driver for the deep pass: summaries → call graph → taint → findings.
+"""The deep rule family: summaries → call graph → taint → SIM2xx findings.
 
-:func:`deep_lint_paths` is to the SIM2xx family what
-:func:`repro.analysis.simlint.lint_paths` is to SIM1xx, and it reuses
-that module's pragma filter so ``# simlint: allow[...]`` comments work
-identically across both passes.  A full deep *run* (what the CLI's
-``--deep`` invokes) is classic + deep findings merged, then baseline-
-subtracted.
+:class:`DeepFamily` is one of the three families
+:func:`repro.analysis.simlint.run_lint` runs over its one pass of the
+files; the pipeline, not the family, filters pragmas, subtracts the
+baseline and counts findings per rule.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Tuple
 
 from ..rules import Violation
-from ..simlint import LintConfig, _pragma_allows, lint_paths
-from .baseline import apply_baseline, load_baseline
 from .callgraph import build_callgraph
-from .parser import ModuleSet, SummaryCache, load_modules
+from .parser import SourceFile, SummaryCache
 from .rules import DEEP_RULES, DeepConfig, deep_violations
+from .summaries import summarize_module
 from .taint import TaintAnalysis
 
-__all__ = ["DeepReport", "deep_lint_paths", "run_deep"]
+__all__ = ["DeepFamily"]
 
 
-@dataclass
-class DeepReport:
-    """Findings plus analyzer coverage/caching telemetry."""
+class DeepFamily:
+    """SIM2xx over every module, from the ``summaries.json`` document."""
 
-    violations: List[Violation] = field(default_factory=list)
-    suppressed: int = 0
-    stats: Dict[str, int] = field(default_factory=dict)
+    def __init__(self, config: Optional[DeepConfig], cache_dir: Optional[Path]) -> None:
+        self.config = config or DeepConfig()
+        self.cache = SummaryCache(cache_dir)
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
+    def visit(self, src: SourceFile) -> None:
+        self.cache.load(src, summarize_module)
 
+    def finish(self) -> Tuple[List[Violation], Dict[str, int]]:
+        self.cache.save()
+        modules = self.cache.loaded
+        graph = build_callgraph(modules)
+        raw = deep_violations(modules, graph, TaintAnalysis(graph), self.config)
+        stats = {
+            "modules": len(modules),
+            "functions": sum(len(f["functions"]) for f in modules.values()),
+            "call_edges": graph.edge_count(),
+            "cache_hits": self.cache.hits,
+            "cache_misses": self.cache.misses,
+        }
+        stats.update({f"rule:{rule}": 0 for rule in DEEP_RULES})
+        return raw, stats
 
-def _filter_pragmas(
-    violations: Sequence[Violation], sources: Dict[str, Path]
-) -> List[Violation]:
-    """Drop findings excused by an inline ``# simlint: allow[...]``."""
-    kept: List[Violation] = []
-    lines_cache: Dict[str, List[str]] = {}
-    for v in violations:
-        source = sources.get(v.path)
-        if source is not None:
-            if v.path not in lines_cache:
-                try:
-                    lines_cache[v.path] = source.read_text(
-                        encoding="utf-8"
-                    ).splitlines()
-                except OSError:
-                    lines_cache[v.path] = []
-            lines = lines_cache[v.path]
-            line = lines[v.line - 1] if 0 < v.line <= len(lines) else ""
-            if _pragma_allows(line, v.rule):
-                continue
-        kept.append(v)
-    return kept
-
-
-def deep_lint_paths(
-    roots: Sequence[Path],
-    config: Optional[DeepConfig] = None,
-    cache: Optional[SummaryCache] = None,
-    modules: Optional[ModuleSet] = None,
-) -> DeepReport:
-    """Run only the SIM2xx rules over the tree."""
-    config = config or DeepConfig()
-    mods = modules if modules is not None else load_modules(roots, cache)
-    graph = build_callgraph(mods.modules)
-    taint = TaintAnalysis(graph)
-    raw = deep_violations(mods.modules, graph, taint, config)
-    kept = _filter_pragmas(raw, mods.sources)
-    per_rule = {rule: 0 for rule in DEEP_RULES}
-    for v in kept:
-        per_rule[v.rule] = per_rule.get(v.rule, 0) + 1
-    stats = {
-        "modules": len(mods.modules),
-        "functions": sum(
-            len(f["functions"]) for f in mods.modules.values()
-        ),
-        "call_edges": graph.edge_count(),
-        "cache_hits": mods.cache_hits,
-        "cache_misses": mods.cache_misses,
-    }
-    stats.update({f"rule:{r}": n for r, n in per_rule.items()})
-    return DeepReport(violations=kept, stats=stats)
-
-
-def run_deep(
-    roots: Sequence[Path],
-    classic_config: Optional[LintConfig] = None,
-    deep_config: Optional[DeepConfig] = None,
-    cache_dir: Optional[Path] = None,
-    baseline_path: Optional[Path] = None,
-    include_kernels: bool = False,
-    kernels_config=None,
-) -> DeepReport:
-    """The full ``lint --deep`` pipeline: classic + SIM2xx + baseline.
-
-    With ``include_kernels`` the SIM3xx kernel pass
-    (:mod:`repro.analysis.arrays`) joins the merge, sharing this cache
-    dir, so ``lint --deep --kernels`` gates on one combined report.
-    """
-    cache = SummaryCache(cache_dir)
-    report = deep_lint_paths([Path(r) for r in roots], deep_config, cache)
-    classic = lint_paths([Path(r) for r in roots], classic_config)
-    kernel_violations: List[Violation] = []
-    if include_kernels:
-        from ..arrays.engine import kernels_lint_paths
-
-        kernels = kernels_lint_paths(
-            [Path(r) for r in roots], kernels_config, cache_dir
-        )
-        kernel_violations = kernels.violations
-        report.stats.update(kernels.stats)
-    merged = sorted(
-        list(classic) + report.violations + kernel_violations,
-        key=lambda v: (v.path, v.line, v.col, v.rule),
-    )
-    baseline = load_baseline(baseline_path) if baseline_path else {}
-    kept, suppressed = apply_baseline(merged, baseline)
-    report.violations = kept
-    report.suppressed = suppressed
-    classic_counts: Dict[str, int] = {}
-    for v in classic:
-        classic_counts[v.rule] = classic_counts.get(v.rule, 0) + 1
-    report.stats.update(
-        {f"rule:{r}": n for r, n in sorted(classic_counts.items())}
-    )
-    report.stats["suppressed"] = suppressed
-    return report

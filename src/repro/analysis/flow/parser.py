@@ -1,55 +1,101 @@
 """File collection, content hashing, and the incremental summary cache.
 
-The deep pass's per-module facts (:mod:`.summaries`) are pure functions
-of file content, so they cache trivially: one JSON document maps each
-relative path to ``{"sha": <content hash>, "facts": {...}}``.  A warm run
-re-hashes every file (cheap) and only re-parses the ones whose hash
-moved; everything interprocedural (call graph, taint fixpoint, rule
-scoping) is recomputed from the summaries each run, which is what keeps
-the cache key config-independent.
+Every lint run starts with :func:`collect_files`: one walk, one
+:class:`SourceFile` per module, each read, hashed and parsed at most
+once however many rule families look at it.
 
-The cache document carries a version stamp combining the schema version
-with :data:`repro.analysis.flow.summaries.FACTS_VERSION`; any mismatch
-discards the whole cache rather than attempting migration.
+Per-module facts are pure functions of file content, so they cache
+trivially: one JSON document maps each relative path to ``{"sha":
+<content hash>, "facts": {...}}``.  :meth:`SummaryCache.load` is the one
+fact loader — a warm run re-hashes every file (cheap) and only re-parses
+the ones whose hash moved; everything interprocedural (call graph, taint
+fixpoint, rule scoping) is recomputed from the facts each run, which is
+what keeps the cache key config-independent.
+
+The deep family's document is ``summaries.json``, stamped with the
+schema version and :data:`repro.analysis.flow.summaries.FACTS_VERSION`;
+any mismatch discards the whole document rather than attempting
+migration.
 """
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
-from ...errors import ConfigError
-from .summaries import FACTS_VERSION, extract_module
+from .summaries import FACTS_VERSION, summarize_module
 
-__all__ = ["SummaryCache", "ModuleSet", "collect_files", "load_modules"]
+__all__ = ["ModuleSet", "SourceFile", "SummaryCache", "collect_files", "load_modules"]
 
 _CACHE_SCHEMA = 1
 _CACHE_FILENAME = "summaries.json"
 
 
-def cache_stamp() -> str:
-    return f"{_CACHE_SCHEMA}.{FACTS_VERSION}"
+class SourceFile:
+    """One collected module: read, hashed and parsed lazily, at most once."""
+
+    def __init__(self, path: Path, rel: str) -> None:
+        self.path = path
+        #: posix path relative to the lint root — a file's identity in
+        #: reports, caches and baselines
+        self.rel = rel
+
+    @cached_property
+    def raw(self) -> Optional[bytes]:
+        """The file's bytes; None when it cannot be read."""
+        try:
+            return self.path.read_bytes()
+        except OSError:
+            return None
+
+    @cached_property
+    def sha(self) -> Optional[str]:
+        return None if self.raw is None else hashlib.sha256(self.raw).hexdigest()
+
+    @cached_property
+    def text(self) -> str:
+        return "" if self.raw is None else self.raw.decode("utf-8", errors="replace")
+
+    @cached_property
+    def lines(self) -> List[str]:
+        return self.text.splitlines()
+
+    @cached_property
+    def parsed(self) -> Union[ast.Module, SyntaxError, None]:
+        """The AST, or the SyntaxError that stopped it (None: unreadable)."""
+        if self.raw is None:
+            return None
+        try:
+            return ast.parse(self.text, filename=self.rel)
+        except SyntaxError as exc:
+            return exc
+
+    @property
+    def tree(self) -> Optional[ast.Module]:
+        parsed = self.parsed
+        return parsed if isinstance(parsed, ast.Module) else None
+
+    def release(self) -> None:
+        """Drop the tree once every rule family has visited the file."""
+        self.__dict__.pop("parsed", None)
 
 
-def collect_files(roots: Sequence[Path]) -> List[Tuple[Path, str]]:
-    """Every ``*.py`` under each root as ``(path, relpath)`` pairs.
-
-    Mirrors :func:`repro.analysis.simlint.lint_paths` collection order so
-    classic and deep findings sort identically.
-    """
-    files: List[Tuple[Path, str]] = []
-    for root in roots:
-        root = Path(root)
+def collect_files(roots: Sequence[Path]) -> List[SourceFile]:
+    """Every ``*.py`` under each root (a root may be a file), in walk order."""
+    files: List[SourceFile] = []
+    for root in map(Path, roots):
         if root.is_file():
-            files.append((root, root.name))
+            files.append(SourceFile(root, root.name))
             continue
         for path in sorted(root.rglob("*.py")):
             if "__pycache__" in path.parts:
                 continue
-            files.append((path, path.relative_to(root).as_posix()))
+            files.append(SourceFile(path, path.relative_to(root).as_posix()))
     return files
 
 
@@ -59,10 +105,10 @@ class SummaryCache:
     ``cache_dir=None`` disables persistence entirely (library default);
     the CLI points it at ``$REPRO_LINT_CACHE`` or ``.simlint_cache``.
 
-    Other passes reuse this store with their own document: ``filename``
-    picks the file inside the cache dir and ``stamp`` the version string
-    that invalidates it (the kernel pass folds its shape-contract
-    registry hash into the stamp, for example).
+    Each rule family keeps its own document: ``filename`` picks the file
+    inside the cache dir and ``stamp`` the version string that
+    invalidates it (the kernel family folds its shape-contract registry
+    hash into the stamp of ``arrays.json``, for example).
     """
 
     def __init__(
@@ -71,24 +117,21 @@ class SummaryCache:
         filename: str = _CACHE_FILENAME,
         stamp: Optional[str] = None,
     ) -> None:
-        self.cache_dir = Path(cache_dir) if cache_dir else None
-        self.filename = filename
-        self.stamp = stamp if stamp is not None else cache_stamp()
+        #: the document's file; None when persistence is disabled
+        self.path = Path(cache_dir) / filename if cache_dir else None
+        self.stamp = stamp if stamp is not None else f"{_CACHE_SCHEMA}.{FACTS_VERSION}"
         self.entries: Dict[str, Dict] = {}
+        #: relpath -> facts of each file loaded this run that parses
+        self.loaded: Dict[str, Dict] = {}
         self.hits = 0
         self.misses = 0
-        self._loaded_stamp: Optional[str] = None
-        if self.cache_dir is not None:
-            self._load()
+        self._visited: List[str] = []
+        if self.path is not None:
+            self._load(self.path)
 
-    def _path(self) -> Path:
-        if self.cache_dir is None:
-            raise ConfigError("summary cache is disabled (no cache_dir)")
-        return self.cache_dir / self.filename
-
-    def _load(self) -> None:
+    def _load(self, path: Path) -> None:
         try:
-            payload = json.loads(self._path().read_text(encoding="utf-8"))
+            payload = json.loads(path.read_text(encoding="utf-8"))
         except (OSError, ValueError):
             return
         if payload.get("version") != self.stamp:
@@ -96,45 +139,54 @@ class SummaryCache:
         entries = payload.get("entries")
         if isinstance(entries, dict):
             self.entries = entries
-            self._loaded_stamp = payload["version"]
 
-    def save(self) -> None:
-        if self.cache_dir is None:
+    def load(self, src: SourceFile, extract: Callable[[str, ast.Module], Dict]) -> None:
+        """Add ``src``'s facts to :attr:`loaded`.
+
+        A hit skips the parse; a miss hands the file's one tree to
+        ``extract`` and stores the result (None for a parse failure).
+        """
+        self._visited.append(src.rel)
+        if src.sha is None:
             return
-        self.cache_dir.mkdir(parents=True, exist_ok=True)
-        payload = {"version": self.stamp, "entries": self.entries}
-        tmp = self._path().with_suffix(".tmp")
-        tmp.write_text(json.dumps(payload), encoding="utf-8")
-        tmp.replace(self._path())
-
-    def lookup(self, relpath: str, sha: str) -> Tuple[bool, Optional[Dict]]:
-        """``(hit, facts)`` — facts may be None for cached parse failures."""
-        entry = self.entries.get(relpath)
-        if entry is not None and entry.get("sha") == sha:
+        entry = self.entries.get(src.rel)
+        if entry is not None and entry.get("sha") == src.sha:
             self.hits += 1
-            return True, entry["facts"]
-        self.misses += 1
-        return False, None
+            facts = entry["facts"]
+        else:
+            self.misses += 1
+            facts = None if src.tree is None else extract(src.rel, src.tree)
+            self.entries[src.rel] = {"sha": src.sha, "facts": facts}
+        if facts is not None:
+            self.loaded[src.rel] = facts
 
-    def store(self, relpath: str, sha: str, facts: Optional[Dict]) -> None:
-        self.entries[relpath] = {"sha": sha, "facts": facts}
+    def save(self, prune: bool = True) -> None:
+        """Persist the document.
 
-    def prune(self, live_relpaths: Sequence[str]) -> None:
-        live = set(live_relpaths)
-        for stale in [k for k in self.entries if k not in live]:
-            del self.entries[stale]
+        ``prune`` first drops the entries of files this run did not
+        visit; a run over part of a tree passes False so it does not
+        evict what runs over the whole tree stored.
+        """
+        if prune:
+            visited = set(self._visited)
+            self.entries = {k: v for k, v in self.entries.items() if k in visited}
+        if self.path is None:
+            return
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        payload = {"version": self.stamp, "entries": self.entries}
+        tmp = self.path.with_suffix(".tmp")
+        tmp.write_text(json.dumps(payload), encoding="utf-8")
+        tmp.replace(self.path)
 
 
 @dataclass
 class ModuleSet:
-    """Everything the interprocedural phases need, plus cache telemetry."""
+    """The deep family's per-module facts, plus cache telemetry."""
 
     #: relpath -> module facts (parse failures excluded)
     modules: Dict[str, Dict] = field(default_factory=dict)
-    #: relpaths that failed to parse (classic pass reports these)
+    #: relpaths that failed to read or parse (the classic family reports these)
     unparsed: List[str] = field(default_factory=list)
-    #: relpath -> absolute source path (for pragma re-reads)
-    sources: Dict[str, Path] = field(default_factory=dict)
     cache_hits: int = 0
     cache_misses: int = 0
 
@@ -142,28 +194,11 @@ class ModuleSet:
 def load_modules(
     roots: Sequence[Path], cache: Optional[SummaryCache] = None
 ) -> ModuleSet:
-    """Hash, (re)summarize, and collect facts for every module."""
+    """Flow summaries for every module under ``roots``."""
     cache = cache or SummaryCache(None)
-    result = ModuleSet()
     files = collect_files(roots)
-    for path, rel in files:
-        try:
-            raw = path.read_bytes()
-        except OSError:
-            result.unparsed.append(rel)
-            continue
-        sha = hashlib.sha256(raw).hexdigest()
-        hit, facts = cache.lookup(rel, sha)
-        if not hit:
-            facts = extract_module(rel, raw.decode("utf-8", errors="replace"))
-            cache.store(rel, sha, facts)
-        result.sources[rel] = path
-        if facts is None:
-            result.unparsed.append(rel)
-        else:
-            result.modules[rel] = facts
-    cache.prune([rel for _, rel in files])
+    for src in files:
+        cache.load(src, summarize_module)
     cache.save()
-    result.cache_hits = cache.hits
-    result.cache_misses = cache.misses
-    return result
+    unparsed = [src.rel for src in files if src.rel not in cache.loaded]
+    return ModuleSet(cache.loaded, unparsed, cache.hits, cache.misses)

@@ -16,11 +16,10 @@ per-rule path scopes chosen to match where each hazard is meaningful:
 
 from __future__ import annotations
 
-import fnmatch
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..rules import Violation, register_rules
+from ..rules import Violation, path_matches, register_rules
 from .callgraph import CallGraph
 from .taint import TaintAnalysis
 
@@ -53,10 +52,6 @@ DEEP_RULES: Dict[str, tuple] = {
 register_rules(DEEP_RULES)
 
 
-def _matches(relpath: str, patterns: Iterable[str]) -> bool:
-    return any(fnmatch.fnmatch(relpath, p) for p in patterns)
-
-
 @dataclass
 class DeepConfig:
     """Scoping for the SIM2xx rules (all patterns are lint-root relative)."""
@@ -86,7 +81,7 @@ class DeepConfig:
     def applies(self, rule: str, relpath: str) -> bool:
         if rule not in self.enabled:
             return False
-        if _matches(relpath, self.allow_paths.get(rule, ())):
+        if path_matches(relpath, self.allow_paths.get(rule, ())):
             return False
         scope = {
             "nondeterminism-taint": self.taint_sink_paths,
@@ -95,7 +90,7 @@ class DeepConfig:
             "unit-confusion": self.unit_paths,
             "resource-lifecycle": self.resource_paths,
         }[rule]
-        return _matches(relpath, scope)
+        return path_matches(relpath, scope)
 
 
 def _violation(

@@ -57,7 +57,7 @@ from ..rules import (
     _dotted_name,
 )
 
-__all__ = ["extract_module", "FACTS_VERSION"]
+__all__ = ["extract_module", "summarize_module", "FACTS_VERSION"]
 
 #: bump when the facts schema or extraction logic changes (cache key part)
 FACTS_VERSION = 2
@@ -956,14 +956,19 @@ class _ModuleExtractor:
         self.functions[qual] = extractor.run()
 
 
+def summarize_module(relpath: str, tree: ast.Module) -> Dict[str, Any]:
+    """Summarize one parsed module."""
+    return _ModuleExtractor(relpath, tree).run()
+
+
 def extract_module(relpath: str, source: str) -> Optional[Dict[str, Any]]:
     """Parse and summarize one module; None when it cannot be parsed.
 
-    (Parse failures are the classic pass's SIM100 business — the deep pass
-    simply skips what it cannot read.)
+    (Parse failures are the classic family's SIM100 business — the deep
+    family simply skips what it cannot read.)
     """
     try:
         tree = ast.parse(source, filename=relpath)
     except SyntaxError:
         return None
-    return _ModuleExtractor(relpath, tree).run()
+    return summarize_module(relpath, tree)

@@ -72,10 +72,13 @@ Rules
 from __future__ import annotations
 
 import ast
+import fnmatch
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set
 
-__all__ = ["RULES", "RULE_CODES", "Violation", "SimLintVisitor", "register_rules"]
+__all__ = [
+    "RULES", "RULE_CODES", "Violation", "SimLintVisitor", "path_matches", "register_rules",
+]
 
 #: rule name -> (code, one-line description) — the classic single-file rules
 RULES: Dict[str, tuple] = {
@@ -122,6 +125,11 @@ RULE_CODES: Dict[str, tuple] = dict(RULES)
 def register_rules(rules: Dict[str, tuple]) -> None:
     """Add another pass's rules to the shared code registry."""
     RULE_CODES.update(rules)
+
+
+def path_matches(relpath: str, patterns: Iterable[str]) -> bool:
+    """Whether a lint-root relative path matches any of the glob ``patterns``."""
+    return any(fnmatch.fnmatch(relpath, p) for p in patterns)
 
 
 @dataclass(frozen=True)

@@ -1,42 +1,48 @@
-"""``simlint`` — the driver for the simulation-correctness lint pass.
+"""``simlint`` — the lint pipeline and its classic (SIM1xx) rule family.
 
-Walks a tree of Python sources, runs the AST rules in
-:mod:`repro.analysis.rules` over each file, and filters findings through
-two allowlist mechanisms:
+:func:`run_lint` is the one entry point behind ``python -m repro lint``.  It
+collects the files under its roots once (each read, hashed and parsed at
+most once), runs the chosen rule families over them —
 
-* **path allowlist** — per-rule glob patterns (relative to the lint root)
-  for files whose use of a hazard is by design, e.g. wall-clock reads in
-  ``harness/`` where profiling host time is the whole point;
-* **inline pragma** — a ``# simlint: allow[rule-name]`` (or
-  ``allow[*]``) comment on the offending line excuses that line only,
-  for surgical exceptions such as the co-simulator's own wall-clock
-  split accounting.
+* **classic** (SIM1xx): the single-file AST rules of
+  :mod:`repro.analysis.rules`;
+* **deep** (SIM2xx): the interprocedural rules of
+  :mod:`repro.analysis.flow`;
+* **kernels** (SIM3xx): the array-semantics rules of
+  :mod:`repro.analysis.arrays` —
 
-Run it as ``python -m repro lint`` (optionally ``--path DIR``); it exits
-non-zero when any violation survives filtering, which is what CI gates
-on.
+then drops findings excused by an inline ``# simlint: allow[rule-name]``
+(or ``allow[*]``) comment on the offending line, sorts, and subtracts
+the suppression baseline.  Each family also honours its own per-rule
+path allowlist, e.g. wall-clock reads in ``harness/`` where profiling
+host time is the whole point.  The CLI exits non-zero when any finding
+survives, which is what CI gates on.
 """
 
 from __future__ import annotations
 
-import ast
-import fnmatch
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .rules import RULES, SimLintVisitor, Violation
+from .flow.baseline import apply_baseline, load_baseline
+from .flow.parser import SourceFile, collect_files
+from .rules import RULES, SimLintVisitor, Violation, path_matches
 
 __all__ = [
     "RULES",
     "LintConfig",
+    "LintReport",
     "Violation",
     "lint_file",
     "lint_paths",
     "render_json",
     "render_report",
+    "render_stats",
+    "run_lint",
 ]
 
 _PRAGMA = re.compile(r"#\s*simlint:\s*allow\[([\w\-*,\s]+)\]")
@@ -105,10 +111,6 @@ class LintConfig:
     )
 
 
-def _matches(relpath: str, patterns: Iterable[str]) -> bool:
-    return any(fnmatch.fnmatch(relpath, p) for p in patterns)
-
-
 def _pragma_allows(line: str, rule: str) -> bool:
     match = _PRAGMA.search(line)
     if match is None:
@@ -117,68 +119,129 @@ def _pragma_allows(line: str, rule: str) -> bool:
     return "*" in allowed or rule in allowed
 
 
-def lint_file(
-    path: Path,
-    relpath: Optional[str] = None,
-    config: Optional[LintConfig] = None,
-) -> List[Violation]:
-    """Run every enabled rule over one file; returns surviving findings."""
-    config = config or LintConfig()
-    rel = (relpath or path.name).replace("\\", "/")
-    source = path.read_text(encoding="utf-8")
-    try:
-        tree = ast.parse(source, filename=str(path))
-    except SyntaxError as exc:
-        return [
-            Violation(
+def _excused(violation: Violation, files: Dict[str, SourceFile]) -> bool:
+    """An inline pragma on the finding's line excuses it.
+
+    A file that does not parse cannot excuse itself.
+    """
+    src = files.get(violation.path)
+    if src is None or violation.rule == "parse-error":
+        return False
+    lines = src.lines
+    line = lines[violation.line - 1] if 0 < violation.line <= len(lines) else ""
+    return _pragma_allows(line, violation.rule)
+
+
+class ClassicFamily:
+    """SIM1xx: the single-file AST rules, run on every file's tree."""
+
+    def __init__(self, config: Optional[LintConfig]) -> None:
+        self.config = config or LintConfig()
+        self.found: List[Violation] = []
+
+    def visit(self, src: SourceFile) -> None:
+        parsed, rel, config = src.parsed, src.rel, self.config
+        if isinstance(parsed, SyntaxError):
+            self.found.append(Violation(
                 rel,
-                exc.lineno or 0,
-                (exc.offset or 0) or 1,
+                parsed.lineno or 0,
+                (parsed.offset or 0) or 1,
                 "parse-error",
-                f"cannot parse: {exc.msg}",
+                f"cannot parse: {parsed.msg}",
+            ))
+        elif parsed is not None:
+            visitor = SimLintVisitor(
+                rel,
+                event_ordering=path_matches(rel, config.event_ordering_paths),
+                enabled={
+                    rule
+                    for rule in config.enabled
+                    if not path_matches(rel, config.allow_paths.get(rule, ()))
+                },
+                unbounded_loops=path_matches(rel, config.unbounded_loop_paths),
             )
-        ]
-    lines = source.splitlines()
+            visitor.visit(parsed)
+            self.found.extend(visitor.violations)
 
-    enabled = {
-        rule
-        for rule in config.enabled
-        if not _matches(rel, config.allow_paths.get(rule, ()))
-    }
-    visitor = SimLintVisitor(
-        rel,
-        event_ordering=_matches(rel, config.event_ordering_paths),
-        enabled=enabled,
-        unbounded_loops=_matches(rel, config.unbounded_loop_paths),
-    )
-    visitor.visit(tree)
+    def finish(self) -> Tuple[List[Violation], Dict[str, int]]:
+        return self.found, {}
 
-    kept = []
-    for violation in visitor.violations:
-        line = lines[violation.line - 1] if 0 < violation.line <= len(lines) else ""
-        if not _pragma_allows(line, violation.rule):
-            kept.append(violation)
-    return kept
+
+@dataclass
+class LintReport:
+    """Surviving findings, the baselined count, and per-family telemetry."""
+
+    violations: List[Violation] = field(default_factory=list)
+    suppressed: int = 0
+    stats: Dict[str, int] = field(default_factory=dict)
+
+
+def run_lint(
+    roots: Sequence[Path],
+    families: Sequence[str] = ("classic",),
+    *,
+    classic_config: Optional[LintConfig] = None,
+    deep_config=None,
+    kernels_config=None,
+    cache_dir: Optional[Path] = None,
+    baseline_path: Optional[Path] = None,
+) -> LintReport:
+    """Run the ``families`` (of classic, deep, kernels) over ``roots``.
+
+    One pass over the files: each family visits each file in turn, so a
+    tree is parsed at most once and dropped before the next file.
+    ``stats`` carries each family's coverage and cache counters and a
+    ``rule:<name>`` count per rule of the findings the pragmas left
+    (before the baseline); the deep and kernel families list their
+    rules even at zero.  ``cache_dir=None`` disables the summary cache;
+    without ``baseline_path`` nothing is subtracted.
+    """
+    files = collect_files(roots)
+    runs: list = []
+    if "classic" in families:
+        runs.append(ClassicFamily(classic_config))
+    deep = None
+    if "deep" in families:
+        from .flow.engine import DeepFamily
+
+        deep = DeepFamily(deep_config, cache_dir)
+        runs.append(deep)
+    if "kernels" in families:
+        from .arrays.engine import KernelFamily
+
+        runs.append(KernelFamily(kernels_config, cache_dir, files, deep.cache if deep else None))
+    for src in files:
+        for run in runs:
+            run.visit(src)
+        src.release()
+
+    raw: List[Violation] = []
+    stats: Dict[str, int] = {}
+    for run in runs:
+        found, family_stats = run.finish()
+        raw.extend(found)
+        stats.update(family_stats)
+    by_rel = {src.rel: src for src in files}
+    kept = [v for v in raw if not _excused(v, by_rel)]
+    for v in kept:
+        stats[f"rule:{v.rule}"] = stats.get(f"rule:{v.rule}", 0) + 1
+    kept.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
+    baseline = load_baseline(baseline_path) if baseline_path else {}
+    kept, suppressed = apply_baseline(kept, baseline)
+    stats["suppressed"] = suppressed
+    return LintReport(violations=kept, suppressed=suppressed, stats=stats)
 
 
 def lint_paths(
     roots: Sequence[Path], config: Optional[LintConfig] = None
 ) -> List[Violation]:
-    """Lint every ``*.py`` under each root (files are accepted too)."""
-    config = config or LintConfig()
-    violations: List[Violation] = []
-    for root in roots:
-        root = Path(root)
-        if root.is_file():
-            violations.extend(lint_file(root, root.name, config))
-            continue
-        for path in sorted(root.rglob("*.py")):
-            if "__pycache__" in path.parts:
-                continue
-            rel = path.relative_to(root).as_posix()
-            violations.extend(lint_file(path, rel, config))
-    violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
-    return violations
+    """The classic family over every ``*.py`` under each root (files too)."""
+    return run_lint(roots, classic_config=config).violations
+
+
+def lint_file(path: Path, config: Optional[LintConfig] = None) -> List[Violation]:
+    """The classic family over one file, reported under its name."""
+    return lint_paths([path], config)
 
 
 def render_json(violations: Sequence[Violation]) -> str:
@@ -209,9 +272,7 @@ def render_report(violations: Sequence[Violation]) -> str:
     if not violations:
         return "simlint: clean"
     lines = [v.render() for v in violations]
-    tally: Dict[str, int] = {}
-    for violation in violations:
-        tally[violation.rule] = tally.get(violation.rule, 0) + 1
+    tally = Counter(v.rule for v in violations)
     summary = ", ".join(
         f"{count} {rule}" for rule, count in sorted(tally.items())
     )
@@ -219,26 +280,38 @@ def render_report(violations: Sequence[Violation]) -> str:
     return "\n".join(lines)
 
 
+def render_stats(report: LintReport, families: Sequence[str]) -> str:
+    """``--stats``: coverage of each family run and findings per rule."""
+    stats = report.stats
+
+    def n(key: str) -> int:
+        return stats.get(key, 0)
+
+    passes = " ".join(f"--{family}" for family in families if family != "classic")
+    lines = [f"simlint {passes} statistics"]
+    if "deep" in families:
+        lines += [
+            f"  modules analyzed : {n('modules')}",
+            f"  functions        : {n('functions')}",
+            f"  call edges       : {n('call_edges')}",
+            f"  summary cache    : {n('cache_hits')} hit(s), {n('cache_misses')} miss(es)",
+        ]
+    if "kernels" in families:
+        lines += [
+            f"  kernel modules   : {n('kernel_modules')} ({n('kernel_functions')} function(s))",
+            f"  shape contracts  : {n('contracts')} ({n('dtype_bounds')} bounded dtype(s))",
+            f"  derived tables   : {n('derived_tables')} declared, "
+            f"{n('undeclared_fields')} undeclared field(s) indexed",
+            f"  kernel cache     : "
+            f"{n('kernel_cache_hits')} hit(s), {n('kernel_cache_misses')} miss(es)",
+        ]
+    lines.append(f"  baseline         : {report.suppressed} suppressed")
+    lines.append("  findings by rule (pre-baseline):")
+    rules = sorted(key for key in stats if key.startswith("rule:"))
+    lines += [f"    {key[len('rule:'):]:<24} {stats[key]}" for key in rules] or ["    (none)"]
+    return "\n".join(lines)
+
+
 def default_lint_root() -> Path:
     """The installed ``repro`` package tree (what CI lints)."""
     return Path(__file__).resolve().parent.parent
-
-
-def run(path: Optional[str] = None, fmt: str = "text") -> int:
-    """Lint ``path`` (default: the repro package); returns a process code.
-
-    ``fmt="json"`` emits :func:`render_json` instead of the human report,
-    which the CI lint job feeds to ``scripts/lint_annotations.py`` for
-    per-file annotations.
-    """
-    root = Path(path) if path else default_lint_root()
-    if not root.exists():
-        # A typo'd --path must not read as "clean" to CI.
-        if fmt == "json":
-            print(json.dumps({"ok": False, "error": f"path {root} does not exist"}))
-        else:
-            print(f"simlint: path {root} does not exist")
-        return 2
-    violations = lint_paths([root])
-    print(render_json(violations) if fmt == "json" else render_report(violations))
-    return 1 if violations else 0

@@ -9,17 +9,17 @@ wall-time provenance.
 
 from __future__ import annotations
 
+from collections import Counter
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..harness.experiments import ExperimentResult
 from ..harness.persist import save_result
 from ..harness.report import format_table
 from .spec import get_experiment
-from .store import ResultStore
+from .store import _STATUSES, ResultStore
 
 __all__ = ["assemble_results", "campaign_report", "campaign_status", "save_results"]
-
 
 def assemble_results(
     store: ResultStore, eids: Optional[Sequence[str]] = None
@@ -113,39 +113,46 @@ def _incomplete_eids(
 
 
 def campaign_status(store: ResultStore) -> str:
-    """Per-experiment job counts plus per-job provenance."""
+    """Per-experiment job counts plus per-job provenance.
+
+    Only the jobs of the spec's current grid are counted and listed; rows
+    a resumed store kept from an earlier grid get one line of their own.
+    """
     spec = store.campaign_spec()
-    counts = store.counts_by_eid()
+    grid = {job.job_id for job in spec.expand()}
+    jobs = store.all_jobs()
+    on_grid = [job for job in jobs if job.job_id in grid]
+    counts: Dict[str, Dict[str, int]] = {}
+    for job in on_grid:
+        tally = counts.setdefault(job.eid, dict.fromkeys(_STATUSES, 0))
+        tally[job.status] += 1
     summary_rows = [
-        (
-            eid,
-            tally["pending"],
-            tally["running"],
-            tally["done"],
-            tally["failed"],
-        )
+        (eid, *(tally[status] for status in _STATUSES))
         for eid, tally in sorted(counts.items())
     ]
     lines = [
         format_table(
-            ["eid", "pending", "running", "done", "failed"],
+            ["eid", *_STATUSES],
             summary_rows,
             title=f"Campaign {spec.spec_hash} ({store.path})",
         )
     ]
-    job_rows = []
-    for job in store.all_jobs():
-        job_rows.append(
-            (
-                job.job_id,
-                job.eid,
-                job.status,
-                job.attempts,
-                job.worker or "-",
-                job.started_at or "-",
-                job.wall_s if job.wall_s is not None else "-",
-            )
+    off_grid = Counter(job.eid for job in jobs if job.job_id not in grid)
+    if off_grid:
+        kept = ", ".join(f"{eid} {n}" for eid, n in sorted(off_grid.items()))
+        lines.append(f"off the current grid, not counted: {kept} job(s)")
+    job_rows = [
+        (
+            job.job_id,
+            job.eid,
+            job.status,
+            job.attempts,
+            job.worker or "-",
+            job.started_at or "-",
+            job.wall_s if job.wall_s is not None else "-",
         )
+        for job in on_grid
+    ]
     lines.append("")
     lines.append(
         format_table(

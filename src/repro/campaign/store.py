@@ -564,10 +564,3 @@ class ResultStore(ResultStoreAPI):
             "SELECT * FROM jobs ORDER BY eid, replicate, point_index"
         ).fetchall()
         return [JobRow(r) for r in rows]
-
-    def mean_wall_s(self) -> Optional[float]:
-        """Mean per-job wall time over completed jobs (for ETA estimates)."""
-        row = self._conn.execute(
-            "SELECT AVG(wall_s) AS mean FROM jobs WHERE status = 'done' AND wall_s IS NOT NULL"
-        ).fetchone()
-        return None if row is None or row["mean"] is None else float(row["mean"])

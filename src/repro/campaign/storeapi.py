@@ -136,7 +136,3 @@ class ResultStoreAPI(abc.ABC):
     @abc.abstractmethod
     def all_jobs(self) -> List["JobRow"]:
         """Every row, in a deterministic order (audit and report paths)."""
-
-    @abc.abstractmethod
-    def mean_wall_s(self) -> Optional[float]:
-        """Mean per-job wall time over completed jobs (ETA estimates)."""

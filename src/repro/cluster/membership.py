@@ -175,11 +175,6 @@ class MembershipTable:
         return sorted(died)
 
     # -- views ----------------------------------------------------------
-    def alive_nodes(self) -> List[NodeInfo]:
-        """Every live row, self included, in stable node-id order."""
-        with self._lock:
-            return [self._rows[node_id] for node_id in sorted(self._rows)]
-
     def alive_ids(self) -> List[str]:
         with self._lock:
             return sorted(self._rows)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from ..errors import ClusterError
 
@@ -111,10 +111,6 @@ class HashRing:
                 if len(chosen) == wanted:
                     break
         return chosen
-
-    def successors(self, key: str, count: int) -> List[str]:
-        """The owner's ``count`` distinct successors (owner excluded)."""
-        return self.preference(key, count + 1)[1:]
 
     # -- diagnostics ----------------------------------------------------
     def spread(self, keys: Iterable[str]) -> Dict[str, int]:

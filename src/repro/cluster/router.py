@@ -57,9 +57,6 @@ class Router:
     def owner_id(self, job_id: str) -> str:
         return self.ring.owner(job_id)
 
-    def owns(self, job_id: str) -> bool:
-        return self.ring.owner(job_id) == self.membership.self_id
-
     def owner_info(self, job_id: str) -> Optional[NodeInfo]:
         """The owner's membership row (None if it just died un-swept)."""
         return self.membership.get(self.ring.owner(job_id))

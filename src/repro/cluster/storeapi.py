@@ -139,6 +139,3 @@ class PeerBackedStore(ResultStoreAPI):
 
     def all_jobs(self) -> List:
         return self.local.all_jobs()
-
-    def mean_wall_s(self) -> Optional[float]:
-        return self.local.mean_wall_s()

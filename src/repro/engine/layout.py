@@ -451,9 +451,6 @@ class BatchState:
     def buffered_flits(self, lane: int) -> int:
         return int(self.count[lane].sum())
 
-    def total_buffered_flits(self) -> int:
-        return int(self.count.sum())
-
 
 #: the fields ``_bind_derived`` rebuilds
 _DERIVED = tuple(f.name for f in fields(BatchState) if not f.init)

@@ -375,10 +375,6 @@ class Core:
     )
 
     # ------------------------------------------------------------------
-    @property
-    def outstanding_misses(self) -> int:
-        return len(self.mshrs)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"Core({self.core_id}, phase={self.phase_idx}, "

@@ -33,7 +33,7 @@ import argparse
 import sys
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .experiments import ALL_EXPERIMENTS, run_table1
 from .runner import set_check_invariants
@@ -243,130 +243,64 @@ def _lint_main(argv: Optional[List[str]] = None) -> int:
         help="disable the --deep summary cache",
     )
     args = parser.parse_args(argv)
+    import json
+    import os
     from pathlib import Path
 
+    from ..analysis.flow import render_sarif, write_baseline
     from ..analysis.simlint import (
         default_lint_root,
-        lint_paths,
         render_json,
         render_report,
-        run as run_lint,
+        render_stats,
+        run_lint,
     )
 
     root = Path(args.path) if args.path else default_lint_root()
     if not root.exists():
         # A typo'd --path must not read as "clean" to CI.
-        print(f"simlint: path {root} does not exist")
+        error = f"path {root} does not exist"
+        json_error = json.dumps({"ok": False, "error": error})
+        print(json_error if args.format == "json" else f"simlint: {error}")
         return 2
 
-    if not (args.deep or args.kernels or args.stats or args.update_baseline):
-        if args.format != "sarif":
-            return run_lint(args.path, fmt=args.format)
-        from ..analysis.flow import render_sarif
-
-        violations = lint_paths([root])
-        print(render_sarif(violations, prefix=args.prefix))
-        return 1 if violations else 0
-
-    import os
-
-    from ..analysis.flow import render_sarif, run_deep, write_baseline
-
-    if args.no_cache:
-        cache_dir = None
+    if args.kernels and not args.deep:
+        families: Tuple[str, ...] = ("kernels",)
+    elif args.deep or args.stats or args.update_baseline:
+        families = ("classic", "deep") + (("kernels",) if args.kernels else ())
     else:
-        cache_dir = Path(
-            args.cache_dir
-            or os.environ.get("REPRO_LINT_CACHE")
-            or ".simlint_cache"
-        )
-
-    baseline_path: Optional[Path] = None
+        families = ("classic",)
+    repo_baseline = default_lint_root().parent.parent / ".simlint-baseline.json"
     if args.baseline:
-        baseline_path = Path(args.baseline)
+        baseline_path: Optional[Path] = Path(args.baseline)
     else:
-        for candidate in (
-            Path.cwd() / ".simlint-baseline.json",
-            default_lint_root().parent.parent / ".simlint-baseline.json",
-        ):
-            if candidate.exists():
-                baseline_path = candidate
-                break
-
-    def _run_report(baseline):
-        # --kernels alone runs just the SIM3xx pass; with --deep (or the
-        # deep-implying flags) the kernel findings join the full merge.
-        if not args.deep and args.kernels:
-            from ..analysis.arrays import run_kernels
-
-            return run_kernels(
-                [root], cache_dir=cache_dir, baseline_path=baseline
-            )
-        return run_deep(
-            [root],
-            cache_dir=cache_dir,
-            baseline_path=baseline,
-            include_kernels=args.kernels,
+        baseline_path = next(
+            (c for c in (Path.cwd() / ".simlint-baseline.json", repo_baseline) if c.exists()),
+            None,
         )
+    # the classic family alone reads no baseline; an update starts from none
+    reads_baseline = families != ("classic",) and not args.update_baseline
+    cache_dir = None if args.no_cache else Path(
+        args.cache_dir or os.environ.get("REPRO_LINT_CACHE") or ".simlint_cache"
+    )
+    report = run_lint(
+        [root],
+        families,
+        cache_dir=cache_dir,
+        baseline_path=baseline_path if reads_baseline else None,
+    )
 
     if args.update_baseline:
-        report = _run_report(None)
-        target = baseline_path or (
-            default_lint_root().parent.parent / ".simlint-baseline.json"
-        )
+        target = baseline_path or repo_baseline
         count = write_baseline(target, report.violations)
         print(f"simlint: baseline updated ({count} finding(s) -> {target})")
         return 0
-
-    report = _run_report(baseline_path)
-
     if args.stats:
-        stats = report.stats
-        kernels_only = args.kernels and not args.deep
-        passes = "--kernels" if kernels_only else (
-            "--deep --kernels" if args.kernels else "--deep"
-        )
-        print(f"simlint {passes} statistics")
-        if not kernels_only:
-            print(f"  modules analyzed : {stats.get('modules', 0)}")
-            print(f"  functions        : {stats.get('functions', 0)}")
-            print(f"  call edges       : {stats.get('call_edges', 0)}")
-            print(
-                f"  summary cache    : {stats.get('cache_hits', 0)} hit(s), "
-                f"{stats.get('cache_misses', 0)} miss(es)"
-            )
-        if args.kernels:
-            print(
-                f"  kernel modules   : {stats.get('kernel_modules', 0)} "
-                f"({stats.get('kernel_functions', 0)} function(s))"
-            )
-            print(
-                f"  shape contracts  : {stats.get('contracts', 0)} "
-                f"({stats.get('dtype_bounds', 0)} bounded dtype(s))"
-            )
-            print(
-                f"  derived tables   : {stats.get('derived_tables', 0)} declared, "
-                f"{stats.get('undeclared_fields', 0)} undeclared field(s) indexed"
-            )
-            print(
-                f"  kernel cache     : "
-                f"{stats.get('kernel_cache_hits', 0)} hit(s), "
-                f"{stats.get('kernel_cache_misses', 0)} miss(es)"
-            )
-        print(f"  baseline         : {report.suppressed} suppressed")
-        print("  findings by rule (pre-baseline):")
-        for rule_key in sorted(
-            k for k in stats if k.startswith("rule:")
-        ):
-            rule = rule_key[len("rule:"):]
-            print(f"    {rule:<24} {stats[rule_key]}")
-        if not any(k.startswith("rule:") for k in stats):
-            print("    (none)")
+        print(render_stats(report, families))
         # statistics report, they do not gate -- except on a kernel that
-        # indexes state its contract does not declare: the numbers above
-        # would then describe an analysis with a hole in it
-        return 1 if stats.get("undeclared_fields") else 0
-
+        # indexes state its contract does not declare: the numbers would
+        # then describe an analysis with a hole in it
+        return 1 if report.stats.get("undeclared_fields") else 0
     if args.format == "sarif":
         print(render_sarif(report.violations, prefix=args.prefix))
     elif args.format == "json":

@@ -40,7 +40,9 @@ def result_to_dict(result: ExperimentResult) -> dict:
         "title": result.title,
         "headers": list(result.headers),
         "rows": [list(row) for row in result.rows],
-        "notes": dict(result.notes),
+        # [key, value] pairs, not an object: a campaign store writes
+        # sorted-key JSON, and notes render in the order they were written
+        "notes": [[key, value] for key, value in result.notes.items()],
         "figures": list(result.figures),
     }
 
@@ -48,7 +50,8 @@ def result_to_dict(result: ExperimentResult) -> dict:
 def result_from_dict(data: dict, source: str = "result") -> ExperimentResult:
     """Rebuild a result from :func:`result_to_dict` output.
 
-    Raises :class:`ConfigError` — never ``KeyError`` — on files from a
+    ``notes`` may also be a JSON object, as payloads written before notes
+    became pairs store it.  Raises :class:`ConfigError` — never ``KeyError`` — on files from a
     different schema version or with missing/malformed fields, so callers
     can distinguish "bad file" from a library bug.
     """

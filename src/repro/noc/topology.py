@@ -146,20 +146,6 @@ class Topology:
         """Router on the far end of ``port``, or ``None`` for edge/local ports."""
         raise NotImplementedError
 
-    def channels(self) -> Iterator[Tuple[int, int, int]]:
-        """Every directed inter-router channel as ``(src, out_port, dst)``.
-
-        This is the node set of the channel-dependency graph the static
-        deadlock verifier builds; injection/ejection (LOCAL) channels are
-        excluded because the source queue holds no network resource and the
-        ejection port is an infinite sink.
-        """
-        for router in self.routers():
-            for port in range(1, self.radix):
-                nbr = self.neighbor(router, port)
-                if nbr is not None:
-                    yield router, port, nbr
-
     def is_wrap_channel(self, router: int, port: int) -> bool:
         """True when the channel out of ``port`` crosses a dateline.
 

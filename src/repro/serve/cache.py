@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import threading
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..campaign.spec import JobSpec
 from ..campaign.store import JobRow, ResultStore
@@ -70,10 +70,6 @@ class ResultCache:
             self._store.set_meta("spec_hash", "serve")
             self._store.set_meta("spec", json.dumps({"service": "repro.serve"}))
 
-    @property
-    def path(self) -> str:
-        return self._store.path
-
     # -- lookups --------------------------------------------------------
     def lookup(self, job_id: str) -> Optional[str]:
         """The cached payload text for ``job_id``, or None on miss.
@@ -113,10 +109,6 @@ class ResultCache:
                 return self._store.get_job(job_id)
             except ConfigError:
                 return None
-
-    def counts(self) -> Dict[str, int]:
-        with self._lock:
-            return self._store.counts()
 
     # -- admission ------------------------------------------------------
     def admit(self, spec: JobSpec) -> bool:

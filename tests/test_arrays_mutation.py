@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.analysis.arrays.engine import kernels_lint_paths
+from repro.analysis import run_lint
 
 PACKAGE = Path(repro.__file__).resolve().parent
 
@@ -88,7 +88,7 @@ def _build_tree(tmp_path, mutation=None):
 
 def test_unmutated_kernels_are_clean(tmp_path):
     root = _build_tree(tmp_path)
-    report = kernels_lint_paths([root], cache_dir=tmp_path / "cache")
+    report = run_lint([root], ("kernels",), cache_dir=tmp_path / "cache")
     assert report.violations == []
 
 
@@ -96,7 +96,7 @@ def test_unmutated_kernels_are_clean(tmp_path):
 def test_mutation_is_caught(name, tmp_path):
     rule, old, new = MUTATIONS[name]
     root = _build_tree(tmp_path, (old, new))
-    report = kernels_lint_paths([root], cache_dir=tmp_path / "cache")
+    report = run_lint([root], ("kernels",), cache_dir=tmp_path / "cache")
     assert [v.rule for v in report.violations] == [rule]
     (violation,) = report.violations
     assert violation.path == "engine/kernels.py"

@@ -5,9 +5,10 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.analysis import run_lint
 from repro.analysis.arrays import ARRAY_RULES, ArraysConfig, build_registry
 from repro.analysis.arrays.contracts import harvest_module
-from repro.analysis.arrays.engine import kernels_lint_paths
+from repro.analysis.flow import SourceFile
 
 FIXTURES = Path(__file__).parent / "fixtures" / "arrays"
 PACKAGE = Path(repro.__file__).resolve().parent
@@ -17,7 +18,7 @@ OPEN_CONFIG = ArraysConfig(kernel_paths=("*",), lane_loop_paths=("*",))
 
 
 def _lint(path, config=OPEN_CONFIG, cache_dir=None):
-    report = kernels_lint_paths([path], config, cache_dir=cache_dir)
+    report = run_lint([path], ("kernels",), kernels_config=config, cache_dir=cache_dir)
     return report.violations
 
 
@@ -88,8 +89,8 @@ class TestIndexTables:
         violations = _lint(FIXTURES / "tables_pos.py", cache_dir=tmp_path)
         (undeclared,) = [v for v in violations if "undeclared-field" in v.context]
         assert "'cell_twin'" in undeclared.message
-        report = kernels_lint_paths([FIXTURES / "tables_pos.py"], OPEN_CONFIG,
-                                    cache_dir=tmp_path)
+        report = run_lint([FIXTURES / "tables_pos.py"], ("kernels",),
+                          kernels_config=OPEN_CONFIG, cache_dir=tmp_path)
         assert report.stats["undeclared_fields"] == 1
         assert report.stats["derived_tables"] == 3
 
@@ -97,7 +98,7 @@ class TestIndexTables:
         assert _lint(FIXTURES / "tables_neg.py", cache_dir=tmp_path) == []
 
     def test_contract_carries_stride_injective_and_params(self):
-        registry = build_registry([(FIXTURES / "tables_neg.py", "tables_neg.py")])
+        registry = build_registry([SourceFile(FIXTURES / "tables_neg.py", "tables_neg.py")])
         contract = registry.contracts["State"]
         slot0 = contract.fields["cell_slot0"]
         assert (slot0.stride, slot0.injective, slot0.derived) == (("B",), True, True)
@@ -113,24 +114,18 @@ class TestIndexTables:
 
 class TestContracts:
     def test_registry_harvests_fixture_contract(self):
-        registry = build_registry(
-            [(FIXTURES / "sim301_pos.py", "sim301_pos.py")]
-        )
+        registry = build_registry([SourceFile(FIXTURES / "sim301_pos.py", "sim301_pos.py")])
         contract = registry.contracts["State"]
         assert contract.dims == ("L", "R", "V")
         assert contract.lane_axis == "L"
         assert contract.fields["count"].rank == 3
 
     def test_registry_harvests_bound_constants(self):
-        registry = build_registry(
-            [(FIXTURES / "sim302_neg.py", "sim302_neg.py")]
-        )
+        registry = build_registry([SourceFile(FIXTURES / "sim302_neg.py", "sim302_neg.py")])
         assert "OWNER_DT" in registry.dtype_bounds
 
     def test_unannotated_constant_is_not_a_bound(self):
-        registry = build_registry(
-            [(FIXTURES / "sim302_pos.py", "sim302_pos.py")]
-        )
+        registry = build_registry([SourceFile(FIXTURES / "sim302_pos.py", "sim302_pos.py")])
         assert "UNBOUNDED_DT" not in registry.dtype_bounds
 
     def test_fingerprint_tracks_contract_changes(self):
@@ -144,7 +139,7 @@ class TestContracts:
     def test_in_tree_layouts_declare_contracts(self):
         # the real engine layout module is the production source of
         # truth: the one contract and the dtype bounds must harvest
-        files = [(PACKAGE / "engine" / "layout.py", "engine/layout.py")]
+        files = [SourceFile(PACKAGE / "engine" / "layout.py", "engine/layout.py")]
         registry = build_registry(files)
         assert list(registry.contracts) == ["BatchState"]
         assert registry.contracts["BatchState"].lane_axis == "L"
@@ -154,18 +149,18 @@ class TestContracts:
 
 class TestTreeWide:
     def test_kernel_pass_is_clean_on_the_package(self, tmp_path):
-        report = kernels_lint_paths([PACKAGE], cache_dir=tmp_path)
+        report = run_lint([PACKAGE], ("kernels",), cache_dir=tmp_path)
         assert report.violations == []
         assert report.stats["kernel_modules"] >= 6
         assert report.stats["contracts"] == 1
 
     def test_cache_round_trip(self, tmp_path):
-        first = kernels_lint_paths(
-            [FIXTURES], config=OPEN_CONFIG, cache_dir=tmp_path
+        first = run_lint(
+            [FIXTURES], ("kernels",), kernels_config=OPEN_CONFIG, cache_dir=tmp_path
         )
         assert first.stats["kernel_cache_hits"] == 0
-        second = kernels_lint_paths(
-            [FIXTURES], config=OPEN_CONFIG, cache_dir=tmp_path
+        second = run_lint(
+            [FIXTURES], ("kernels",), kernels_config=OPEN_CONFIG, cache_dir=tmp_path
         )
         assert second.stats["kernel_cache_misses"] == 0
         assert len(second.violations) == len(first.violations)

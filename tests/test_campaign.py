@@ -29,7 +29,7 @@ from repro.campaign import (
 )
 from repro.campaign.pool import WorkerPool
 from repro.errors import ConfigError
-from repro.harness.experiments import Experiment, ExperimentResult
+from repro.harness.experiments import Experiment, ExperimentResult, _whole_experiment
 from repro.util import derive_seed
 
 
@@ -52,6 +52,16 @@ def _tiny_assemble(records, quick, seed):
         headers=["i", "value"],
         rows=list(records),
         notes={"n": float(len(records))},
+    )
+
+
+def _notes_out_of_order(quick, seed):
+    return ExperimentResult(
+        eid="WHOLE",
+        title="whole",
+        headers=["seed"],
+        rows=[(seed,)],
+        notes={"zeta_error": 0.25, "alpha": 2.0, "mid_reduction": 0.5},
     )
 
 
@@ -560,6 +570,46 @@ class TestReport:
         store = self._completed_store(tmp_path)
         text = campaign_status(store)
         assert "Job provenance" in text and "pid" in text
+
+    def test_status_counts_only_the_current_grid(self, tmp_path, tiny):
+        # the same resumed store as above: one whole-result row from an
+        # earlier grid, then the three per-point jobs of the current one
+        store = ResultStore(tmp_path / "c.db")
+        store.initialize(CampaignSpec(experiments=(tiny,)))
+        stale = JobSpec(eid=tiny, point_index=0, point=None, quick=False, seed=7)
+        store.add_jobs([stale])
+        store.mark_running(stale.job_id, "w")
+        store.mark_done(stale.job_id, {"record": {"schema": 1}}, 0.1)
+        assert _run_campaign(store, workers=2).ok
+        text = campaign_status(store)
+        summary = text.splitlines()[3]
+        assert summary.split() == [tiny, "0", "0", "3", "0"]
+        assert f"off the current grid, not counted: {tiny} 1 job(s)" in text
+        assert stale.job_id not in text
+
+    def test_whole_result_notes_keep_their_order_through_the_store(
+        self, tmp_path, registry_cleanup
+    ):
+        # the store writes sorted-key JSON; notes must still render in the
+        # order the experiment wrote them, not alphabetically
+        registry_cleanup(_whole_experiment("WHOLE", _notes_out_of_order))
+        store = ResultStore(tmp_path / "c.db")
+        store.initialize(CampaignSpec(experiments=("WHOLE",)))
+        assert _run_campaign(store, workers=1).ok
+        ((_, _, result),) = assemble_results(store)
+        direct = _notes_out_of_order(False, 3)
+        assert list(result.notes) == ["zeta_error", "alpha", "mid_reduction"]
+        assert result.render() == direct.render()
+
+    def test_payloads_with_notes_as_an_object_still_load(self):
+        from repro.harness.persist import result_from_dict
+
+        stored = {
+            "schema": 1, "eid": "E8", "title": "t", "headers": ["a"], "rows": [[1]],
+            "notes": {"fixed_error": 0.1, "full_ra_error": 0.2}, "figures": [],
+        }
+        result = result_from_dict(json.loads(json.dumps(stored, sort_keys=True)))
+        assert result.notes == {"fixed_error": 0.1, "full_ra_error": 0.2}
 
     def test_payload_is_persist_schema_for_whole_experiments(self, tmp_path, tiny):
         # Single-job experiments store the full persist.py dict as payload.

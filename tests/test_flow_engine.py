@@ -3,11 +3,11 @@
 from pathlib import Path
 
 import repro
+from repro.analysis import run_lint
 from repro.analysis.flow import (
     SummaryCache,
     TaintAnalysis,
     build_callgraph,
-    deep_lint_paths,
     load_modules,
 )
 from repro.analysis.flow.summaries import extract_module
@@ -177,8 +177,8 @@ class TestSummaryCacheIncremental:
             taint_sink_paths=("*",), async_state_paths=("*",),
             fork_paths=("*",), unit_paths=("*",), resource_paths=("*",),
         )
-        cold = deep_lint_paths([FIXTURES], cfg, cache=SummaryCache(cache_dir))
-        warm = deep_lint_paths([FIXTURES], cfg, cache=SummaryCache(cache_dir))
+        cold = run_lint([FIXTURES], ("deep",), deep_config=cfg, cache_dir=cache_dir)
+        warm = run_lint([FIXTURES], ("deep",), deep_config=cfg, cache_dir=cache_dir)
         assert cold.violations == warm.violations
         assert warm.stats["cache_hits"] == warm.stats["modules"]
         assert cold.violations  # the fixture tree is not silently empty

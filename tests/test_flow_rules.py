@@ -5,7 +5,8 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.analysis.flow import DEEP_RULES, DeepConfig, deep_lint_paths, run_deep
+from repro.analysis import run_lint
+from repro.analysis.flow import DEEP_RULES, DeepConfig
 
 FIXTURES = Path(__file__).parent / "fixtures" / "flow"
 PACKAGE = Path(repro.__file__).resolve().parent
@@ -21,7 +22,7 @@ OPEN_CONFIG = DeepConfig(
 
 
 def _lint(path, config=OPEN_CONFIG):
-    return deep_lint_paths([path], config).violations
+    return run_lint([path], ("deep",), deep_config=config).violations
 
 
 class TestMirroredFixtures:
@@ -76,15 +77,15 @@ class TestScoping:
             unit_paths=("*",),
             allow_paths={"unit-confusion": ("sim204_*.py",)},
         )
-        assert deep_lint_paths(
-            [FIXTURES / "sim204_pos.py"], config
+        assert run_lint(
+            [FIXTURES / "sim204_pos.py"], ("deep",), deep_config=config
         ).violations == []
 
     def test_out_of_scope_fixture_is_clean_by_default(self):
         # Default DeepConfig scopes SIM202 to serve/*; the flat fixture
         # path is outside that scope, so the same hazard stays quiet.
-        assert deep_lint_paths(
-            [FIXTURES / "sim202_pos.py"], DeepConfig()
+        assert run_lint(
+            [FIXTURES / "sim202_pos.py"], ("deep",), deep_config=DeepConfig()
         ).violations == []
 
 
@@ -152,11 +153,11 @@ class TestTreeIsClean:
             Path(repro.__file__).resolve().parents[2]
             / ".simlint-baseline.json"
         )
-        report = run_deep([PACKAGE], baseline_path=baseline)
+        report = run_lint([PACKAGE], ("classic", "deep"), baseline_path=baseline)
         assert report.violations == []
 
     def test_stats_describe_coverage(self):
-        report = run_deep([PACKAGE])
+        report = run_lint([PACKAGE], ("classic", "deep"))
         assert report.stats["modules"] > 40
         assert report.stats["functions"] > 200
         assert report.stats["call_edges"] > 100

@@ -6,10 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis import run_lint
 from repro.analysis.flow import (
     DeepConfig,
     apply_baseline,
-    deep_lint_paths,
     fingerprint_all,
     load_baseline,
     render_sarif,
@@ -30,7 +30,7 @@ OPEN_CONFIG = DeepConfig(
 
 
 def _fixture_violations():
-    violations = deep_lint_paths([FIXTURES], OPEN_CONFIG).violations
+    violations = run_lint([FIXTURES], ("deep",), deep_config=OPEN_CONFIG).violations
     assert violations, "fixture tree should not be empty"
     return violations
 
@@ -103,7 +103,7 @@ class TestBaselineRoundTrip:
             "    conn = sqlite3.connect(path)\n"
             "    conn.execute('SELECT 1')\n"
         )
-        regressed = deep_lint_paths([tree], OPEN_CONFIG).violations
+        regressed = run_lint([tree], ("deep",), deep_config=OPEN_CONFIG).violations
         kept, _ = apply_baseline(regressed, baseline)
         assert [v.path for v in kept] == ["fresh.py"]
         assert kept[0].rule == "resource-lifecycle"
@@ -113,9 +113,9 @@ class TestBaselineRoundTrip:
         tree.mkdir()
         src = (FIXTURES / "sim205_pos.py").read_text()
         (tree / "mod.py").write_text(src)
-        before = deep_lint_paths([tree], OPEN_CONFIG).violations
+        before = run_lint([tree], ("deep",), deep_config=OPEN_CONFIG).violations
         (tree / "mod.py").write_text("# a new header comment\n\n" + src)
-        after = deep_lint_paths([tree], OPEN_CONFIG).violations
+        after = run_lint([tree], ("deep",), deep_config=OPEN_CONFIG).violations
         assert [v.line for v in after] == [v.line + 2 for v in before]
         assert fingerprint_all(before) == fingerprint_all(after)
 
