@@ -9,7 +9,9 @@ Drives the ``repro.chaos`` substrate end to end:
    schedules through ``python -m repro chaos audit --mode campaign``;
    every audit must PASS (exactly-once, byte-identical payloads).
 3. **Serve audit** — the in-process serve daemon under a torn commit plus
-   a crash in the accepted-but-unacked submit window.
+   a crash in the accepted-but-unacked submit window.  **Cluster audit**
+   — a three-node in-process ring through ``--mode cluster``, one member
+   killed mid-queue and restarted on its own database and port.
 4. **Daemon crash (exit mode)** — a real ``serve start`` subprocess armed
    with ``--chaos-arm`` dies with the distinctive exit code 86 at the
    before-ack crash point; a restarted plain daemon on the same database
@@ -128,6 +130,21 @@ def phase_serve_audit() -> None:
              f"{proc.stdout}\n{proc.stderr}")
     if "PASS" not in proc.stdout:
         fail(f"serve audit did not report PASS:\n{proc.stdout}")
+    step(f"  ok: {proc.stdout.splitlines()[0]}")
+
+
+def phase_cluster_audit() -> None:
+    step("phase 3b: cluster audit (one ring member killed and restarted)")
+    proc = run_cli(
+        "chaos", "audit", "--mode", "cluster", "--nodes", "3",
+        "--node-kills", "1", "--run-seed", "1", "--seed", "7",
+    )
+    if proc.returncode != 0:
+        fail(f"cluster audit exited {proc.returncode}:\n"
+             f"{proc.stdout}\n{proc.stderr}")
+    if "PASS" not in proc.stdout or "cluster.node" not in proc.stdout:
+        fail(f"cluster audit did not report a PASS with a node kill:\n"
+             f"{proc.stdout}")
     step(f"  ok: {proc.stdout.splitlines()[0]}")
 
 
@@ -332,6 +349,7 @@ def main() -> int:
     phase_determinism()
     phase_campaign_audits()
     phase_serve_audit()
+    phase_cluster_audit()
     phase_daemon_crash(tmp)
     phase_breaker(tmp)
     phase_corrupt_store(tmp)

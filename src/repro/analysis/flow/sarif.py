@@ -1,7 +1,9 @@
-"""SARIF 2.1.0 rendering for lint findings (classic and deep alike).
+"""SARIF 2.1.0 rendering for lint findings (every rule family alike).
 
-One run object, one driver, rules drawn from the shared
-:data:`repro.analysis.rules.RULE_CODES` registry.  Each result carries
+One run object, one driver, and the rules of all three families
+(SIM1xx, SIM2xx, SIM3xx) whichever ran — named here rather than read
+from the import-time :data:`repro.analysis.rules.RULE_CODES` registry,
+so the log is the same in every process.  Each result carries
 the baseline fingerprint as a ``partialFingerprints`` entry so GitHub
 code scanning tracks findings across commits the same way the local
 baseline does.
@@ -12,12 +14,17 @@ from __future__ import annotations
 import json
 from typing import Dict, Optional, Sequence
 
-from ..rules import RULE_CODES, Violation
+from ..arrays.rules import ARRAY_RULES
+from ..rules import RULES, Violation
 from .baseline import fingerprint_all
+from .rules import DEEP_RULES
 
 __all__ = ["render_sarif"]
 
 _SARIF_VERSION = "2.1.0"
+#: rule name -> (code, summary) for every family, in every process
+_ALL_RULES = {**RULES, **DEEP_RULES, **ARRAY_RULES}
+
 _SCHEMA = (
     "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
     "Schemata/sarif-schema-2.1.0.json"
@@ -47,7 +54,7 @@ def render_sarif(
             "defaultConfiguration": {"level": "error"},
         }
         for rule, (code, summary) in sorted(
-            RULE_CODES.items(), key=lambda item: item[1][0]
+            _ALL_RULES.items(), key=lambda item: item[1][0]
         )
     ]
     rule_index = {r["id"]: i for i, r in enumerate(rules)}

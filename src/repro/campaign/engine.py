@@ -29,9 +29,8 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 from ..errors import ConfigError
 from .pool import WorkerPool, now_monotonic, sleep_s
-from .spec import CampaignSpec, get_experiment
+from .spec import CampaignSpec, get_experiment, job_wire
 from .store import JobRow, ResultStore
-from .storeapi import ResultStoreAPI
 
 __all__ = ["CampaignEngine", "CampaignSummary", "run_experiment_parallel"]
 
@@ -99,9 +98,7 @@ class CampaignEngine:
     """Drive one campaign store to completion.
 
     Args:
-        store: the campaign's job store (already initialized) — any
-            :class:`~repro.campaign.storeapi.ResultStoreAPI` implementation;
-            production campaigns use the SQLite :class:`ResultStore`.
+        store: the campaign's job store (already initialized).
         workers: pool concurrency.
         retries: extra attempts per job after its first failure/timeout.
         timeout: per-job wall-clock budget in seconds (None: unlimited).
@@ -126,7 +123,7 @@ class CampaignEngine:
 
     def __init__(
         self,
-        store: ResultStoreAPI,
+        store: ResultStore,
         workers: int = 1,
         retries: int = 0,
         timeout: Optional[float] = None,
@@ -172,16 +169,6 @@ class CampaignEngine:
             self.retry_backoff * (2.0 ** max(0, attempts - 1)),
         )
 
-    def _job_dict(self, job: JobRow) -> dict:
-        """The wire form of a job, with its checkpoint request attached."""
-        data = job.job_spec().to_dict()
-        if self.checkpoint_dir is not None:
-            data["_checkpoint"] = {
-                "path": os.path.join(self.checkpoint_dir, f"{job.job_id}.ckpt"),
-                "every": self.checkpoint_every,
-            }
-        return data
-
     def run(self) -> CampaignSummary:
         store = self.store
         reset = store.reset_running()
@@ -215,7 +202,11 @@ class CampaignEngine:
                 while pending and pool.has_capacity():
                     job = pending.popleft()
                     try:
-                        worker = pool.submit(job.job_id, self._job_dict(job))
+                        worker = pool.submit(
+                            job.job_id,
+                            job_wire(job.job_spec(), self.checkpoint_dir,
+                                     self.checkpoint_every),
+                        )
                     except OSError as exc:
                         # A failed spawn (fd/process exhaustion) is a host
                         # fault, not the job's: put it back at the head of

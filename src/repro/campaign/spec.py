@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -39,6 +40,7 @@ __all__ = [
     "get_experiment",
     "execute_job",
     "execute_job_batch",
+    "job_wire",
     "jobs_batchable",
 ]
 
@@ -349,6 +351,22 @@ def _run_point(experiment: Experiment, spec: JobSpec) -> dict:
     return payload
 
 
+def job_wire(spec: JobSpec, checkpoint_dir: Optional[str], checkpoint_every: int) -> dict:
+    """The plain-dict job :func:`execute_job` reads, from ``spec``.
+
+    With ``checkpoint_dir`` set it carries the ``_checkpoint`` request:
+    snapshot every ``checkpoint_every`` windows to
+    ``<checkpoint_dir>/<job_id>.ckpt``.  The caller creates the directory.
+    """
+    data = spec.to_dict()
+    if checkpoint_dir is not None:
+        data["_checkpoint"] = {
+            "path": os.path.join(checkpoint_dir, f"{spec.job_id}.ckpt"),
+            "every": checkpoint_every,
+        }
+    return data
+
+
 def execute_job(job: dict) -> dict:
     """Run one job (worker-side): look up the experiment, run its point.
 
@@ -358,8 +376,8 @@ def execute_job(job: dict) -> dict:
 
     Underscore keys are execution hints, not job identity:
 
-    - ``_checkpoint`` (``{"path": ..., "every": ...}``, added by the engine
-      when ``--checkpoint-dir`` is set) wraps execution in a
+    - ``_checkpoint`` (``{"path": ..., "every": ...}``, written by
+      :func:`job_wire` when ``--checkpoint-dir`` is set) wraps execution in a
       :func:`repro.resilience.checkpoint.job_checkpoint` scope: the run
       snapshots periodically and, if a previous attempt was killed mid-run,
       resumes from its last snapshot instead of restarting from cycle 0.

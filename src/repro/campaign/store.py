@@ -35,7 +35,6 @@ from typing import Dict, List, Optional, Sequence
 
 from ..errors import ConfigError, StoreCorruptError, StoreIOError
 from .spec import CampaignSpec, JobSpec
-from .storeapi import ResultStoreAPI
 
 __all__ = ["ResultStore", "JobRow", "STORE_SCHEMA_VERSION"]
 
@@ -122,7 +121,7 @@ class JobRow:
         return json.loads(self.payload).get("record")
 
 
-class ResultStore(ResultStoreAPI):
+class ResultStore:
     """Open (creating if needed) the campaign database at ``path``.
 
     ``":memory:"`` is accepted for ephemeral campaigns (benchmarks, tests).

@@ -17,7 +17,6 @@ from .node import ClusterConfig, ClusterNode
 from .peer import PeerClient, PeerResult
 from .ring import DEFAULT_VNODES, HashRing, remap_fraction, ring_position
 from .router import Router
-from .storeapi import PeerBackedStore, ResultStoreAPI
 
 __all__ = [
     "ClusterConfig",
@@ -26,10 +25,8 @@ __all__ = [
     "HashRing",
     "MembershipTable",
     "NodeInfo",
-    "PeerBackedStore",
     "PeerClient",
     "PeerResult",
-    "ResultStoreAPI",
     "Router",
     "remap_fraction",
     "ring_position",

@@ -7,8 +7,8 @@ cluster behaviours layered on through the daemon's subclass hooks:
 * **routing** — every node accepts every request; a cache-missed
   submission whose ring owner is another live node answers ``307`` with
   the owner's submit URL (clients follow it transparently);
-* **peer cache-fill** — the cache's durable tier is a
-  :class:`~repro.cluster.storeapi.PeerBackedStore`: a lookup of a job id
+* **peer cache-fill** — the cache's miss path
+  (:meth:`~repro.serve.cache.ResultCache._read`): a lookup of a job id
   this node has never seen probes the ring preference list (owner, then
   successors) and adopts a found result *verbatim* before answering, so
   a repeat submission to the wrong node is still a zero-compute hit;
@@ -42,7 +42,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..campaign.store import ResultStore
 from ..errors import ClusterError, ConfigError
 from ..serve.metrics import PREFIX
 from ..serve.protocol import API_PREFIX, Request
@@ -52,7 +51,6 @@ from .membership import MembershipTable, NodeInfo
 from .peer import CLUSTER_PREFIX, PeerClient, PeerResult
 from .ring import DEFAULT_VNODES
 from .router import Router
-from .storeapi import PeerBackedStore
 
 __all__ = ["ClusterConfig", "ClusterNode"]
 
@@ -122,21 +120,15 @@ class ClusterNode(ServeDaemon):
 
     def __init__(self, cluster: ClusterConfig) -> None:
         self.cluster = cluster
-        # The durable tier is built here (not by the cache) so the node
-        # can bump its generation and wrap it peer-backed first.
-        local = ResultStore(cluster.serve.db, cross_thread=True)
-        generation = int(local.get_meta("cluster_generation") or "0") + 1
-        local.set_meta("cluster_generation", str(generation))
-        self.generation = generation
-        self._local = local
-        self._peer_store = PeerBackedStore(local, fill=self._peer_fill)
-        super().__init__(cluster.serve, store=self._peer_store)
+        super().__init__(cluster.serve, fill=self._peer_fill)
+        # Every process start outranks the stale gossip of the last one.
+        self.generation = self.cache.bump_meta("cluster_generation")
 
         self_info = NodeInfo(
             node_id=cluster.node_id,
             host=cluster.serve.host,
             port=cluster.serve.port,  # patched after bind if 0
-            generation=generation,
+            generation=self.generation,
         )
         self.membership = MembershipTable(self_info, fail_after_s=cluster.fail_after_s)
         self.router = Router(self.membership, vnodes=cluster.vnodes)
@@ -169,12 +161,12 @@ class ClusterNode(ServeDaemon):
         register(
             f"{CPREFIX}_peer_fill_hits",
             "Lookup misses answered by adopting a ring peer's result.",
-            lambda: float(self._peer_store.fill_hits),
+            lambda: float(self.cache.fill_hits),
         )
         register(
             f"{CPREFIX}_peer_fill_misses",
             "Lookup misses no ring peer could answer.",
-            lambda: float(self._peer_store.fill_misses),
+            lambda: float(self.cache.fill_misses),
         )
         register(
             f"{CPREFIX}_lent_jobs",
@@ -234,7 +226,7 @@ class ClusterNode(ServeDaemon):
 
     # -- peer cache-fill ------------------------------------------------
     def _peer_fill(self, job_id: str) -> Optional[PeerResult]:
-        """The PeerBackedStore miss probe: ask the ring, owner first."""
+        """The cache's miss probe: ask the ring, owner first."""
         if self.cluster.fill_peers == 0 or len(self.membership.alive_ids()) < 2:
             return None
         try:
@@ -297,8 +289,8 @@ class ClusterNode(ServeDaemon):
                 "ring": self.router.describe(),
                 "membership": self.membership.describe(),
                 "peer_fill": {
-                    "hits": self._peer_store.fill_hits,
-                    "misses": self._peer_store.fill_misses,
+                    "hits": self.cache.fill_hits,
+                    "misses": self.cache.fill_misses,
                 },
                 "steals": {
                     "taken": self.steals_taken,
@@ -338,9 +330,8 @@ class ClusterNode(ServeDaemon):
 
     def _handle_result_fetch(self, job_id: str):
         """Peer fill, victim side: the *local* store only (no recursion)."""
-        try:
-            row = self._local.get_job(job_id)
-        except ConfigError:
+        row = self.cache.local_row(job_id)
+        if row is None:
             return 404, {"error": f"unknown job id {job_id!r}"}, None, None
         if row.status != "done" or row.payload is None:
             return 404, {"error": f"job {job_id} is {row.status}, not done"}, None, None
@@ -456,12 +447,9 @@ class ClusterNode(ServeDaemon):
         with self._cluster_lock:
             pending = list(self._stolen.items())
         for job_id, victim_id in pending:
-            try:
-                row = self._local.get_job(job_id)
-            except ConfigError:
-                continue  # not even admitted yet
-            if row.status != "done" or row.payload is None:
-                continue
+            row = self.cache.local_row(job_id)
+            if row is None or row.status != "done" or row.payload is None:
+                continue  # not admitted yet, or not finished
             victim = self.membership.get(victim_id)
             if victim is None:
                 # The victim died; our store has the result and ring fill
@@ -490,10 +478,7 @@ class ClusterNode(ServeDaemon):
                 if lent.deadline <= now
             ]
         for job_id, lent in due:
-            try:
-                row = self._local.get_job(job_id)
-            except ConfigError:
-                row = None
+            row = self.cache.local_row(job_id)
             if row is not None and row.status == "done":
                 with self._cluster_lock:
                     self._lent.pop(job_id, None)

@@ -228,8 +228,9 @@ def _lint_main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--stats",
         action="store_true",
-        help="print per-rule finding counts and analyzer coverage for "
-        "both passes, then exit 0",
+        help="print per-rule finding counts and analyzer coverage, then "
+        "exit 0 (1 when --kernels finds a kernel indexing a state field "
+        "its shape contract does not declare)",
     )
     parser.add_argument(
         "--cache-dir",

@@ -16,9 +16,15 @@ Two tiers:
   a finished campaign database can be mounted read-hot as a serve cache
   and a serve cache can be inspected with ``campaign status``.
 
+On a cluster node the cache has a third source behind the two: a
+``fill`` probe asks ring peers for a job id the store has never seen
+(see :meth:`ResultCache._read`), and a found result is adopted verbatim
+before it is answered.
+
 The store connection is shared across the daemon's threads (asyncio
-frontier + scheduler), so every access is serialized behind one lock;
-WAL mode on the store keeps any *other* process's readers unblocked.
+frontier, scheduler, and on a cluster node its HTTP handlers and agent),
+so every access is serialized behind one lock; WAL mode on the store
+keeps any *other* process's readers unblocked.
 """
 
 from __future__ import annotations
@@ -26,12 +32,17 @@ from __future__ import annotations
 import json
 import threading
 from collections import OrderedDict
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
 from ..campaign.spec import JobSpec
 from ..campaign.store import JobRow, ResultStore
-from ..campaign.storeapi import ResultStoreAPI
 from ..errors import ConfigError
+
+if TYPE_CHECKING:  # pragma: no cover - serve never imports the cluster layer
+    from ..cluster.peer import PeerResult
+
+#: a peer-fill probe: job id -> a ring peer's result, or None when none has it
+FillFn = Callable[[str], Optional["PeerResult"]]
 
 __all__ = ["ResultCache"]
 
@@ -42,28 +53,26 @@ class ResultCache:
     Args:
         path: SQLite database path (``":memory:"`` for ephemeral daemons).
         lru_size: entries kept in the in-memory tier (0 disables it).
-        store: an already-built :class:`ResultStoreAPI` to use as the
-            durable tier instead of opening ``path`` — how the cluster
-            node mounts its peer-backed store behind the same cache.
-            The caller keeps responsibility for cross-thread safety of
-            the injected store's construction; access is serialized
-            behind this cache's lock either way.
+        fill: the peer-fill probe a cluster node wires to its ring; None
+            (plain serve) answers an unknown id as unknown.
     """
 
     def __init__(
         self,
         path: str,
         lru_size: int = 256,
-        store: Optional[ResultStoreAPI] = None,
+        fill: Optional[FillFn] = None,
     ) -> None:
         if lru_size < 0:
             raise ConfigError(f"lru_size must be >= 0, got {lru_size}")
         self._lock = threading.RLock()
-        self._store: ResultStoreAPI = (
-            store if store is not None else ResultStore(path, cross_thread=True)
-        )
+        self._store = ResultStore(path, cross_thread=True)
         self._lru: "OrderedDict[str, str]" = OrderedDict()
         self._lru_size = lru_size
+        self._fill = fill
+        #: unknown ids a peer answered / no peer could answer
+        self.fill_hits = 0
+        self.fill_misses = 0
         # Tag fresh databases so `campaign run` refuses to mix a campaign
         # grid into a serve cache (spec_hash is its refusal key).
         if self._store.get_meta("spec_hash") is None:
@@ -94,7 +103,7 @@ class ResultCache:
                 self._lru.move_to_end(job_id)
                 return text, None
             try:
-                row = self._store.get_job(job_id)
+                row = self._read(job_id)
             except ConfigError:
                 return None, None
             if row.status != "done" or row.payload is None:
@@ -104,6 +113,20 @@ class ResultCache:
 
     def job_row(self, job_id: str) -> Optional[JobRow]:
         """The store row for ``job_id`` (status/attempts/provenance), or None."""
+        with self._lock:
+            try:
+                return self._read(job_id)
+            except ConfigError:
+                return None
+
+    def local_row(self, job_id: str) -> Optional[JobRow]:
+        """The store row for ``job_id`` without peer fill, or None.
+
+        What a cluster node reads about its *own* rows: answering a
+        peer's fill probe, pushing a stolen result home, re-admitting a
+        lent job.  Taken under the cache lock like every store access, so
+        it never sees a transition whose commit has not finished.
+        """
         with self._lock:
             try:
                 return self._store.get_job(job_id)
@@ -167,7 +190,7 @@ class ResultCache:
     ) -> bool:
         """Commit a result computed elsewhere, verbatim (cluster fill/steal).
 
-        Delegates to the store's :meth:`~ResultStoreAPI.adopt_done` and
+        Delegates to the store's :meth:`~ResultStore.adopt_done` and
         warms the LRU with the adopted text.  Returns True when the row
         was created or promoted to ``done``; False when it was already
         done (the first, byte-identical copy is kept).
@@ -188,6 +211,13 @@ class ResultCache:
     def attempts(self, job_id: str) -> int:
         with self._lock:
             return self._store.get_job(job_id).attempts
+
+    def bump_meta(self, key: str) -> int:
+        """Increment the integer meta value ``key`` (unset reads 0); return it."""
+        with self._lock:
+            value = int(self._store.get_meta(key) or "0") + 1
+            self._store.set_meta(key, str(value))
+            return value
 
     # -- restart recovery -----------------------------------------------
     def recover(self) -> Tuple[List[JobSpec], int]:
@@ -216,6 +246,41 @@ class ResultCache:
         self.close()
 
     # -- internals ------------------------------------------------------
+    def _read(self, job_id: str) -> JobRow:
+        """The store row for ``job_id``, filled from a peer on a miss.
+
+        Caller holds the lock.  A local row in any status answers — status
+        polls of queued or running jobs never generate peer traffic.  Only
+        an unknown id asks ``fill``; a found result is committed verbatim
+        through ``adopt_done`` and re-read, so after a fill the store is
+        indistinguishable from one that computed the job itself.  Raises
+        ``ConfigError`` for an id no peer has (the local "unknown job id"
+        surface) and for a peer answering with another job.
+        """
+        try:
+            return self._store.get_job(job_id)
+        except ConfigError:
+            if self._fill is None:
+                raise
+        result = self._fill(job_id)
+        if result is None:
+            self.fill_misses += 1
+            raise ConfigError(f"unknown job id: {job_id}")
+        if result.spec.job_id != job_id:
+            raise ConfigError(
+                f"peer fill returned job {result.spec.job_id} for {job_id} "
+                "(content-identity violation)"
+            )
+        self.fill_hits += 1
+        self._store.adopt_done(
+            result.spec,
+            result.payload_text,
+            result.wall_s,
+            engine=result.engine,
+            kernel_version=result.kernel_version,
+        )
+        return self._store.get_job(job_id)
+
     def _remember(self, job_id: str, text: str) -> None:
         if not self._lru_size:
             return

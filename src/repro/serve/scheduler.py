@@ -28,7 +28,7 @@ from typing import Deque, Dict, List, Optional, Set
 from collections import deque
 
 from ..campaign.pool import WorkerPool
-from ..campaign.spec import JobSpec, get_experiment, jobs_batchable
+from ..campaign.spec import get_experiment, job_wire, jobs_batchable
 from ..errors import ChaosCrash, ConfigError, StoreIOError
 from .breaker import CircuitBreaker
 from .cache import ResultCache
@@ -334,7 +334,11 @@ class Scheduler:
                 self._dispatch_group(group)
                 continue
             try:
-                worker = pool.submit(entry.job_id, self._job_dict(entry.spec))
+                if self.checkpoint_dir is not None:
+                    os.makedirs(self.checkpoint_dir, exist_ok=True)
+                worker = pool.submit(entry.job_id, job_wire(
+                    entry.spec, self.checkpoint_dir, self.checkpoint_every
+                ))
             except OSError as exc:
                 self._spawn_failure([entry], exc)
                 return
@@ -371,16 +375,6 @@ class Scheduler:
             amount=float(len(entries)),
         )
         del exc
-
-    def _job_dict(self, spec: JobSpec) -> dict:
-        data = spec.to_dict()
-        if self.checkpoint_dir is not None:
-            os.makedirs(self.checkpoint_dir, exist_ok=True)
-            data["_checkpoint"] = {
-                "path": os.path.join(self.checkpoint_dir, f"{spec.job_id}.ckpt"),
-                "every": self.checkpoint_every,
-            }
-        return data
 
     # -- kernel batching ------------------------------------------------
     def _observe_batch_size(self, lanes: int) -> None:

@@ -42,7 +42,7 @@ from typing import Any, Dict, Optional, Set, Tuple
 
 from ..campaign.spec import REGISTRY
 from ..errors import ChaosCrash, ConfigError, FramingError, ServeError
-from .cache import ResultCache
+from .cache import FillFn, ResultCache
 from .metrics import PREFIX, Metrics
 from .protocol import (
     API_PREFIX,
@@ -117,12 +117,11 @@ class ServeDaemon:
     blocks until a signal (or ``POST /api/v1/shutdown``) drains it.
     """
 
-    def __init__(self, config: ServeConfig, store=None) -> None:
+    def __init__(self, config: ServeConfig, fill: Optional[FillFn] = None) -> None:
         self.config = config
         self.metrics = Metrics()
-        # ``store`` lets a subclass mount a different ResultStoreAPI tier
-        # (the cluster node's peer-backed store) behind the same cache.
-        self.cache = ResultCache(config.db, lru_size=config.lru_size, store=store)
+        # ``fill`` is the cluster node's peer probe behind cache misses.
+        self.cache = ResultCache(config.db, lru_size=config.lru_size, fill=fill)
         self.queue = AdmissionQueue(max_depth=config.max_queue)
         self.scheduler = Scheduler(
             queue=self.queue,

@@ -8,6 +8,7 @@ millisecond-scale ``demo`` experiment so the file stays tier-1 fast.
 """
 
 import json
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -15,8 +16,9 @@ import urllib.request
 import pytest
 
 from repro.campaign.spec import CampaignSpec
+from repro.campaign import store as store_module
 from repro.cluster import ClusterConfig, ClusterNode
-from repro.errors import ConfigError
+from repro.errors import ConfigError, StoreIOError
 from repro.serve import ServeClient, ServeConfig
 from repro.serve.metrics import PREFIX
 
@@ -123,7 +125,7 @@ class TestRedirectAndFill:
             client.wait(spec.job_id, timeout_s=60)
         # The owner computed it; the non-owner never had a row of its own
         # until (at most) peer fill later adopts one.
-        assert b._local.get_job(spec.job_id).status == "done"
+        assert b.cache.local_row(spec.job_id).status == "done"
 
     def test_raw_307_carries_location(self, ring):
         a, _ = ring
@@ -164,8 +166,8 @@ class TestRedirectAndFill:
         assert b.metrics.counter_total(
             f"{PREFIX}_jobs_dispatched_total"
         ) == dispatched_before
-        assert b._peer_store.fill_hits >= 1
-        assert text_b == a._local.get_job(spec.job_id).payload
+        assert b.cache.fill_hits >= 1
+        assert text_b == a.cache.local_row(spec.job_id).payload
 
     def test_client_keepalive_reuses_one_connection(self, ring):
         a, _ = ring
@@ -175,6 +177,44 @@ class TestRedirectAndFill:
             client.wait(spec.job_id, timeout_s=60)
             client.result_text(spec.job_id)
             assert client.connections_opened == 1
+
+
+class TestResultEndpointServesOnlyDurableRows:
+    def test_fetch_during_a_refused_commit_never_serves_the_row(
+        self, tmp_path, monkeypatch
+    ):
+        """A peer's fetch racing a ``mark_done`` whose commit is refused.
+
+        The refused commit has already run its ``UPDATE`` on the shared
+        connection; a read beside the cache lock would see that row as
+        ``done`` and serve a payload that never became durable.
+        """
+        node = _node(tmp_path, "a")
+        spec = GRID[0]
+        answers = []
+        fetch = threading.Thread(
+            target=lambda: answers.append(node._handle_result_fetch(spec.job_id)[0])
+        )
+
+        def refuse_commit(store):
+            fetch.start()
+            fetch.join(timeout=1.0)  # the fetch runs now, or waits on the lock
+            store.rollback()
+            raise StoreIOError(f"{store.path}: commit failed: disk I/O error")
+
+        try:
+            assert node.cache.admit(spec)
+            node.cache.mark_running(spec.job_id, "w1")
+            monkeypatch.setattr(store_module, "CHAOS_COMMIT_HOOK", refuse_commit)
+            with pytest.raises(StoreIOError):
+                node.cache.commit(spec.job_id, {"v": 1}, 0.1)
+            monkeypatch.setattr(store_module, "CHAOS_COMMIT_HOOK", None)
+            fetch.join(timeout=10.0)
+            assert not fetch.is_alive()
+            assert answers == [404]
+            assert node.cache.local_row(spec.job_id).status == "running"
+        finally:
+            node.cache.close()
 
 
 class TestWorkStealing:

@@ -1,10 +1,10 @@
-"""Unit tests for the peer-backed store tier and the peer wire format.
+"""Unit tests for the result cache's peer-fill miss path and the peer wire format.
 
-``PeerBackedStore`` is exercised against a real SQLite ``ResultStore``
-with a dict-backed fill callable — no network — so every assertion is
-about the tier contract itself: local rows short-circuit, genuine misses
-fill-and-adopt verbatim, failed fills re-raise the local error surface,
-and a peer answering with the *wrong* job is rejected outright.
+``ResultCache(fill=...)`` is exercised over a real SQLite store with a
+dict-backed fill callable — no network — so every assertion is about the
+miss path itself: local rows short-circuit, genuine misses fill-and-adopt
+verbatim, failed fills keep the local "unknown job id" surface, and a
+peer answering with the *wrong* job is rejected outright.
 """
 
 import json
@@ -12,10 +12,9 @@ import json
 import pytest
 
 from repro.campaign.spec import CampaignSpec
-from repro.campaign.store import ResultStore
-from repro.campaign.storeapi import ResultStoreAPI
-from repro.cluster import PeerBackedStore, PeerResult
+from repro.cluster import PeerResult
 from repro.errors import ConfigError
+from repro.serve.cache import ResultCache
 
 
 @pytest.fixture()
@@ -24,10 +23,17 @@ def grid():
 
 
 @pytest.fixture()
-def local(tmp_path):
-    store = ResultStore(tmp_path / "local.db")
-    yield store
-    store.close()
+def open_cache(tmp_path):
+    """``open_cache(fill)`` -> a cache over ``local.db``, closed at teardown."""
+    caches = []
+
+    def build(fill=None):
+        caches.append(ResultCache(str(tmp_path / "local.db"), fill=fill))
+        return caches[-1]
+
+    yield build
+    for cache in caches:
+        cache.close()
 
 
 def _done_result(spec, marker="peer"):
@@ -38,76 +44,75 @@ def _done_result(spec, marker="peer"):
     )
 
 
-class TestPeerBackedStore:
-    def test_is_a_result_store_api(self, local):
-        assert isinstance(PeerBackedStore(local), ResultStoreAPI)
-        assert isinstance(local, ResultStoreAPI)
-
-    def test_local_row_short_circuits_fill(self, local, grid):
+class TestPeerFill:
+    def test_local_row_short_circuits_fill(self, open_cache, grid):
         spec = grid[0]
-        local.add_jobs([spec])  # pending row, not done
 
         def exploding_fill(job_id):
             raise AssertionError("fill must not run for a known id")
 
-        store = PeerBackedStore(local, fill=exploding_fill)
-        assert store.get_job(spec.job_id).status == "pending"
-        assert store.fill_hits == store.fill_misses == 0
+        cache = open_cache(exploding_fill)
+        cache.admit(spec)  # pending row, not done
+        assert cache.job_row(spec.job_id).status == "pending"
+        text, row = cache.fetch(spec.job_id)
+        assert text is None and row.status == "pending"
+        assert cache.fill_hits == cache.fill_misses == 0
 
-    def test_miss_fills_and_adopts_verbatim(self, local, grid):
+    def test_miss_fills_and_adopts_verbatim(self, open_cache, grid):
         spec = grid[0]
         result = _done_result(spec)
-        store = PeerBackedStore(
-            local, fill={spec.job_id: result}.get
-        )
-        row = store.get_job(spec.job_id)
+        asked = []
+        cache = open_cache(lambda job_id: asked.append(job_id) or result)
+        row = cache.job_row(spec.job_id)
         assert row.status == "done"
         assert row.payload == result.payload_text  # byte-identical adoption
         assert row.engine == "reference"
         assert row.attempts == 0  # adoption is not computation
-        assert store.fill_hits == 1
+        assert cache.fill_hits == 1
         # The adopted row is now local: a second lookup is a pure read.
-        store.set_fill(None)
-        assert store.get_job(spec.job_id).status == "done"
+        assert cache.lookup(spec.job_id) == result.payload_text
+        assert cache.job_row(spec.job_id).status == "done"
+        assert asked == [spec.job_id]
 
-    def test_miss_with_no_peer_reraises_unknown(self, local, grid):
-        store = PeerBackedStore(local, fill=lambda job_id: None)
+    def test_miss_with_no_peer_reraises_unknown(self, open_cache, grid):
+        cache = open_cache(lambda job_id: None)
         with pytest.raises(ConfigError, match="unknown job id"):
-            store.get_job(grid[0].job_id)
-        assert store.fill_misses == 1
+            cache._read(grid[0].job_id)
+        assert cache.fill_misses == 1
+        assert cache.job_row(grid[0].job_id) is None
+        assert cache.fetch(grid[0].job_id) == (None, None)
 
-    def test_no_fill_configured_keeps_local_surface(self, local, grid):
-        store = PeerBackedStore(local)
+    def test_no_fill_configured_keeps_local_surface(self, open_cache, grid):
+        cache = open_cache()
         with pytest.raises(ConfigError, match="unknown job id"):
-            store.get_job(grid[0].job_id)
+            cache._read(grid[0].job_id)
+        assert cache.job_row(grid[0].job_id) is None
 
-    def test_wrong_job_from_peer_is_rejected(self, local, grid):
+    def test_wrong_job_from_peer_is_rejected(self, open_cache, grid):
         right, wrong = grid[0], grid[1]
-        store = PeerBackedStore(
-            local, fill=lambda job_id: _done_result(wrong)
-        )
+        cache = open_cache(lambda job_id: _done_result(wrong))
         with pytest.raises(ConfigError, match="content-identity"):
-            store.get_job(right.job_id)
+            cache._read(right.job_id)
+        assert cache.lookup(right.job_id) is None
         # Nothing was adopted under either id.
-        with pytest.raises(ConfigError):
-            local.get_job(wrong.job_id)
+        assert cache.local_row(right.job_id) is None
+        assert cache.local_row(wrong.job_id) is None
+        assert cache.fill_hits == cache.fill_misses == 0
 
-    def test_writes_delegate_to_local(self, local, grid):
-        spec = grid[0]
-        store = PeerBackedStore(local)
-        store.add_jobs([spec])
-        store.mark_running(spec.job_id, "w1")
-        store.mark_done(spec.job_id, {"v": 1}, 0.5)
-        assert local.get_job(spec.job_id).status == "done"
-        assert store.counts()["done"] == 1
+    def test_local_row_never_fills(self, open_cache, grid):
+        def exploding_fill(job_id):
+            raise AssertionError("local_row must not ask the ring")
 
-    def test_adoption_is_idempotent_through_the_tier(self, local, grid):
+        cache = open_cache(exploding_fill)
+        assert cache.local_row(grid[0].job_id) is None
+
+    def test_adoption_is_idempotent_through_the_tier(self, open_cache, grid):
         spec = grid[0]
         result = _done_result(spec)
-        store = PeerBackedStore(local, fill={spec.job_id: result}.get)
-        first = store.get_job(spec.job_id)
-        assert store.adopt_done(spec, '{"other": "bytes"}', 9.9) is False
-        assert store.get_job(spec.job_id).payload == first.payload
+        cache = open_cache({spec.job_id: result}.get)
+        first = cache.job_row(spec.job_id)
+        assert cache.adopt(spec, '{"other": "bytes"}', 9.9) is False
+        assert cache.job_row(spec.job_id).payload == first.payload
 
 
 class TestPeerResultWire:

@@ -22,9 +22,8 @@ stdout and exit status of in-process ``main(["lint", ...])`` for
 
 Every run names its ``--baseline`` and uses ``--no-cache`` or a
 temporary ``--cache-dir``, so nothing in the working directory leaks in.
-A SARIF report lists every rule registered in the process, so this
-module imports all three families first: the digests then do not depend
-on which tests ran before.
+A SARIF report lists the rules of all three families whatever the
+process imported, so the digests do not depend on which tests ran before.
 
 Re-record only from a commit whose outputs are known good::
 
@@ -45,7 +44,6 @@ from pathlib import Path
 import pytest
 
 import repro
-import repro.analysis.arrays  # noqa: F401
 from repro.harness.cli import main
 
 DIGESTS = Path(__file__).parent / "fixtures" / "lint_digests.json"

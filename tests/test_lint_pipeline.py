@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import ast
 import contextlib
+import hashlib
 import importlib.util
 import io
 import json
+import os
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -70,3 +73,29 @@ def test_missing_path_becomes_one_ci_annotation(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO(out))
     assert annotations.main(["lint_annotations.py"]) == 2
     assert capsys.readouterr().out == f"::error::path {MISSING} does not exist\n"
+
+
+def test_sarif_lists_every_family_in_a_fresh_process(tmp_path):
+    """A SARIF log names the same rules whatever the process imported."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "lint", "--path", str(PACKAGE),
+         "--format", "sarif", "--prefix", "src/repro/",
+         "--baseline", str(tmp_path / "baseline.json"), "--no-cache"],
+        cwd=str(tmp_path), env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rules = json.loads(proc.stdout)["runs"][0]["tool"]["driver"]["rules"]
+    assert {rule["id"][:4] for rule in rules} == {"SIM1", "SIM2", "SIM3"}
+    recorded = json.loads(
+        (REPO / "tests" / "fixtures" / "lint_digests.json").read_text()
+    )["tree/classic/sarif"]
+    assert hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest() == recorded["stdout"]
+
+
+def test_stats_help_states_the_real_exit_status(capsys):
+    """``--stats --kernels`` exits 1 on an undeclared contract field; the help says so."""
+    with pytest.raises(SystemExit):
+        main(["lint", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "then exit 0 (1 when --kernels finds a kernel indexing a state field" in help_text
