@@ -7,7 +7,9 @@ full service contract:
 1. **Concurrency + caching** — N concurrent clients submit a mix of
    duplicate and distinct jobs; every duplicate must resolve to one
    computation (asserted via the ``jobs_dispatched_total`` counter and
-   the cache hit ratio scraped from ``/metrics``).
+   the cache hit ratio scraped from ``/metrics``), and a cached
+   resubmission plus ``result_text`` must cost one ``submit`` request
+   and no ``result`` request (the ack carries the stored text).
 2. **Equivalence** — E1 (one job carrying the whole persisted result),
    and E3 and E5 (assembled from one job per sweep point) fetched through
    the service must be identical to direct in-process runs, excluding only
@@ -180,10 +182,21 @@ def phase_concurrency(port: int) -> str:
     if ratio <= 0.0:
         fail(f"cache hit ratio {ratio} after duplicate submissions")
     step(f"  ok: dispatched={dispatched:.0f}, hit_ratio={ratio:.2f}")
+    # A hit is one round trip: the done ack carries the stored text.
+    before = client.metrics_text()
     ack = client.submit("demo", point_index=0, quick=True)
     if not ack["cached"]:
         fail("repeat submission missed the cache")
-    return client.result_text(ack["job_id"])
+    text = client.result_text(ack["job_id"])
+    after = client.metrics_text()
+    for endpoint, want in (("submit", 1), ("result", 0)):
+        series = f'repro_serve_requests_total{{endpoint="{endpoint}"}}'
+        moved = scrape(after, series, 0.0) - scrape(before, series, 0.0)
+        if moved != want:
+            fail(f"a cached submit + result_text made {moved:.0f} {endpoint} "
+                 f"request(s), expected {want}")
+    step("  ok: a cached submit + result_text is one submit request, no result request")
+    return text
 
 
 def phase_stdlib_clients(port: int, cached_text: str) -> None:
@@ -213,7 +226,8 @@ def phase_stdlib_clients(port: int, cached_text: str) -> None:
         conn.request("GET", f"/api/v1/jobs/{ack['job_id']}/result")
         response = conn.getresponse()
         if response.read().decode("utf-8") != cached_text:
-            fail("http.client: payload differs from ServeClient's")
+            fail("http.client: GET payload differs from the text ServeClient "
+                 "took from the cached ack")
     finally:
         conn.close()
     step("  ok: stock clients are served, keep-alive included")

@@ -23,8 +23,10 @@ before it is answered.
 
 The store connection is shared across the daemon's threads (asyncio
 frontier, scheduler, and on a cluster node its HTTP handlers and agent),
-so every access is serialized behind one lock; WAL mode on the store
-keeps any *other* process's readers unblocked.
+so every store access is serialized behind one lock; WAL mode on the
+store keeps any *other* process's readers unblocked.  The peer probe is
+not a store access and runs outside the lock: a miss that waits on the
+ring never holds up another thread's commit or read.
 """
 
 from __future__ import annotations
@@ -102,22 +104,22 @@ class ResultCache:
             if text is not None:
                 self._lru.move_to_end(job_id)
                 return text, None
-            try:
-                row = self._read(job_id)
-            except ConfigError:
-                return None, None
-            if row.status != "done" or row.payload is None:
-                return None, row
+        try:
+            row = self._read(job_id)
+        except ConfigError:
+            return None, None
+        if row.status != "done" or row.payload is None:
+            return None, row
+        with self._lock:
             self._remember(job_id, row.payload)
-            return row.payload, row
+        return row.payload, row
 
     def job_row(self, job_id: str) -> Optional[JobRow]:
         """The store row for ``job_id`` (status/attempts/provenance), or None."""
-        with self._lock:
-            try:
-                return self._read(job_id)
-            except ConfigError:
-                return None
+        try:
+            return self._read(job_id)
+        except ConfigError:
+            return None
 
     def local_row(self, job_id: str) -> Optional[JobRow]:
         """The store row for ``job_id`` without peer fill, or None.
@@ -249,37 +251,47 @@ class ResultCache:
     def _read(self, job_id: str) -> JobRow:
         """The store row for ``job_id``, filled from a peer on a miss.
 
-        Caller holds the lock.  A local row in any status answers — status
-        polls of queued or running jobs never generate peer traffic.  Only
-        an unknown id asks ``fill``; a found result is committed verbatim
-        through ``adopt_done`` and re-read, so after a fill the store is
+        Takes the lock for the store steps only.  A local row in any
+        status answers — status polls of queued or running jobs never
+        generate peer traffic.  Only an unknown id asks ``fill``, with the
+        lock released: a probe can take ``fill_peers × peer_timeout_s``,
+        and the scheduler's commits and the node's ``local_row`` reads
+        must not wait on it.  Then, under the lock again, the id is
+        re-read — a local row that appeared meanwhile (the job computed
+        or adopted here) wins and the probe's answer is dropped — and
+        otherwise a found result is committed verbatim through
+        ``adopt_done`` and read back, so after a fill the store is
         indistinguishable from one that computed the job itself.  Raises
         ``ConfigError`` for an id no peer has (the local "unknown job id"
         surface) and for a peer answering with another job.
         """
-        try:
-            return self._store.get_job(job_id)
-        except ConfigError:
-            if self._fill is None:
-                raise
-        result = self._fill(job_id)
-        if result is None:
-            self.fill_misses += 1
+        row = self.local_row(job_id)
+        if row is not None:
+            return row
+        if self._fill is None:
             raise ConfigError(f"unknown job id: {job_id}")
-        if result.spec.job_id != job_id:
-            raise ConfigError(
-                f"peer fill returned job {result.spec.job_id} for {job_id} "
-                "(content-identity violation)"
+        result = self._fill(job_id)
+        with self._lock:
+            row = self.local_row(job_id)
+            if row is not None:
+                return row
+            if result is None:
+                self.fill_misses += 1
+                raise ConfigError(f"unknown job id: {job_id}")
+            if result.spec.job_id != job_id:
+                raise ConfigError(
+                    f"peer fill returned job {result.spec.job_id} for {job_id} "
+                    "(content-identity violation)"
+                )
+            self.fill_hits += 1
+            self._store.adopt_done(
+                result.spec,
+                result.payload_text,
+                result.wall_s,
+                engine=result.engine,
+                kernel_version=result.kernel_version,
             )
-        self.fill_hits += 1
-        self._store.adopt_done(
-            result.spec,
-            result.payload_text,
-            result.wall_s,
-            engine=result.engine,
-            kernel_version=result.kernel_version,
-        )
-        return self._store.get_job(job_id)
+            return self._store.get_job(job_id)
 
     def _remember(self, job_id: str, text: str) -> None:
         if not self._lru_size:

@@ -23,6 +23,13 @@ the escape hatch restoring single-attempt semantics.
 interval, capped); ``submit_and_wait()`` is the one-call happy path the
 CLI and the smoke script use.
 
+A cache hit is one round trip: the daemon's ``done`` acknowledgement
+carries the stored text as ``payload``, ``submit`` keeps it in a one-job
+slot (and takes it out of the ack it returns), and the next
+``result_text`` of that job id answers from the slot instead of a GET.
+The text of a ``done`` job never changes, so a slot can be consumed late
+or by another thread and still be the daemon's bytes for that id.
+
 Transport: connections are kept alive and pooled per ``(host, port)``
 target, so a submit/poll/result sequence rides one TCP handshake, and
 ``307`` redirects from a cluster's non-owner nodes are followed
@@ -163,6 +170,8 @@ class ServeClient:
         self.connections_opened = 0
         #: 307/308 redirects transparently followed
         self.redirects_followed = 0
+        #: ``(job_id, stored text)`` from the last cached submit, or None
+        self._handoff: Optional[Tuple[str, str]] = None
 
     # -- submissions ----------------------------------------------------
     def submit(
@@ -178,8 +187,9 @@ class ServeClient:
 
         The acknowledgement carries ``job_id`` (the content hash),
         ``status`` (``done`` for a cache hit, else ``queued``) and
-        ``cached``.  Raises :class:`BackpressureError` when the daemon
-        sheds load.
+        ``cached``.  The stored text a cache hit's ack carries is kept
+        for the next :meth:`result_text` of that id, not returned.
+        Raises :class:`BackpressureError` when the daemon sheds load.
         """
         body: Dict[str, Any] = {
             "v": PROTOCOL_VERSION,
@@ -203,6 +213,8 @@ class ServeClient:
                 payload.get("error", "queue full"), retry_after_s=retry_after
             )
         self._raise_unless_ok(status, payload)
+        text = payload.pop("payload", None)
+        self._handoff = (payload["job_id"], text) if isinstance(text, str) else None
         return payload
 
     def status(self, job_id: str) -> Dict[str, Any]:
@@ -211,7 +223,15 @@ class ServeClient:
         return payload
 
     def result_text(self, job_id: str) -> str:
-        """The job's payload as verbatim text (byte-identical contract)."""
+        """The job's payload as verbatim text (byte-identical contract).
+
+        Answered from the last cached submit's text when it is this job's
+        (once), else fetched from the daemon.
+        """
+        handoff = self._handoff
+        if handoff is not None and handoff[0] == job_id:
+            self._handoff = None
+            return handoff[1]
         response = self._request_raw("GET", f"{API_PREFIX}/jobs/{job_id}/result")
         if response.status != 200:
             payload = _parse_json(response.body)

@@ -406,10 +406,13 @@ class ServeDaemon:
                 f"{PREFIX}_cache_hits_total",
                 "Submissions answered from the content-addressed cache.",
             )
+            # The stored text rides the ack (same field as the peer-fill
+            # wire), so a client needs no second round trip for it.
             return 200, {
                 "job_id": job_id,
                 "status": "done",
                 "cached": True,
+                "payload": cached,
             }, None, None
         self.metrics.inc(
             f"{PREFIX}_cache_misses_total",
@@ -427,7 +430,8 @@ class ServeDaemon:
                 "joined": True,
             }, None, None
         if not self.cache.admit(spec):
-            # A racing duplicate completed between lookup and admit.
+            # A racing duplicate completed between lookup and admit; no
+            # text is in hand, so the client fetches it with a GET.
             return 200, {"job_id": job_id, "status": "done", "cached": True}, None, None
         try:
             self.queue.offer(QueuedJob(spec=spec, client=client))

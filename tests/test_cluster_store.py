@@ -8,6 +8,8 @@ peer answering with the *wrong* job is rejected outright.
 """
 
 import json
+import threading
+from types import SimpleNamespace
 
 import pytest
 
@@ -113,6 +115,68 @@ class TestPeerFill:
         first = cache.job_row(spec.job_id)
         assert cache.adopt(spec, '{"other": "bytes"}', 9.9) is False
         assert cache.job_row(spec.job_id).payload == first.payload
+
+
+class TestTheProbeHoldsNoLock:
+    """A fill waits on the ring with the cache lock released."""
+
+    @pytest.fixture()
+    def parked(self, open_cache, grid):
+        """A cache whose fill parks until released, and a thread parked in it."""
+        probe = SimpleNamespace(
+            entered=threading.Event(), release=threading.Event(), answer={},
+            fetched=[],
+        )
+
+        def parked_fill(job_id):
+            probe.entered.set()
+            probe.release.wait(10.0)
+            return probe.answer.get(job_id)
+
+        probe.cache = cache = open_cache(parked_fill)
+        cache.admit(grid[1])  # another id, pending, before the probe starts
+        probe.thread = threading.Thread(
+            target=lambda: probe.fetched.append(cache.fetch(grid[0].job_id))
+        )
+        probe.thread.start()
+        try:
+            assert probe.entered.wait(5.0)
+            yield probe
+        finally:
+            probe.release.set()
+            probe.thread.join(10.0)
+
+    def test_other_ids_commit_while_a_probe_waits(self, parked, grid):
+        cache, other = parked.cache, grid[1]
+        finished = threading.Event()
+
+        def second_thread():
+            assert cache.local_row(other.job_id).status == "pending"
+            cache.mark_running(other.job_id, "w1")
+            cache.commit(other.job_id, {"other": 1}, 0.1)
+            finished.set()
+
+        worker = threading.Thread(target=second_thread)
+        worker.start()
+        try:
+            assert finished.wait(5.0), "a parked peer probe held up the cache lock"
+        finally:
+            parked.release.set()
+            worker.join(10.0)
+        assert cache.local_row(other.job_id).status == "done"
+
+    def test_a_local_row_that_appeared_meanwhile_wins(self, parked, grid):
+        cache, spec = parked.cache, grid[0]
+        parked.answer[spec.job_id] = _done_result(spec, marker="late peer")
+        cache.admit(spec)
+        cache.mark_running(spec.job_id, "w1")
+        local = cache.commit(spec.job_id, {"from": "here"}, 0.1)
+        parked.release.set()
+        parked.thread.join(10.0)
+        text, row = parked.fetched[0]
+        assert text == local and row.payload == local
+        assert cache.local_row(spec.job_id).payload == local
+        assert cache.fill_hits == cache.fill_misses == 0
 
 
 class TestPeerResultWire:

@@ -2,9 +2,10 @@
 
 A *hit* is what the ledger's ``serve_zipf`` / ``ring3_zipf`` time:
 ``ServeClient.submit`` of a job the daemon already holds, then
-``result_text``.  None of it simulates; it is framing, routing, two
-socket round trips and at most one row read, so its cost is a handful of
-counts — and counts, unlike the wall clock of a shared host, repeat
+``result_text``.  None of it simulates; it is framing, routing, one
+socket round trip (the ``done`` ack carries the stored text, which
+``result_text`` then answers from) and at most one row read, so its cost
+is a handful of counts — and counts, unlike the wall clock of a shared host, repeat
 exactly.  Same rule as ``test_engine_dispatch_budget.py``: an **equality**
 gate; a change that lowers a count updates the constant below and the
 history, one that raises it fails until it argues why.
@@ -14,8 +15,8 @@ Per hit, on a keep-alive connection to an in-process daemon:
 (a) ``sendall`` calls on the client thread — one per request, head and
     body in one segment (two ``sendall`` per POST woke the daemon twice);
 (b) ``ResultStore.get_job`` calls — none when the id is in the daemon's
-    LRU, one when it is not (the submit's lookup; the result then finds
-    the LRU warm);
+    LRU, one when it is not (the submit's lookup, whose text the ack
+    carries);
 (c) ``connections_opened`` over the whole run — one;
 (d) Python calls into ``src/repro`` on the client thread and on the
     daemon's loop thread (``sys.setprofile`` ``call`` events).  Frames of
@@ -27,11 +28,14 @@ History, per hit — (a) / (b) hot, cold / (d) client + daemon in-package
 
 * streams + ``http.client`` (8a88d8e): 3 / 1, 2 / 21 + 39.757 [+ 267, 149]
 * one shared framing, protocol frontier: 2 / 0, 1 / 25 + 39     [+   9,  43]
+* the ``done`` ack carries the text:      1 / 0, 1 / 15 + 27     [+   8,  30]
 
-The in-package counts barely moved (the client gained its own parser's
-four frames); what left the path is the standard library's layers —
-``http.client`` / ``email.feedparser`` on one side, asyncio streams and
-their futures on the other — which is what the bound below watches.
+The in-package counts barely moved with the shared framing (the client
+gained its own parser's four frames); what left the path is the standard
+library's layers — ``http.client`` / ``email.feedparser`` on one side,
+asyncio streams and their futures on the other — which is what the bound
+below watches.  The hand-off removed the whole ``GET .../result``
+exchange: its request render, parse and routing on both sides.
 """
 
 import sys
@@ -52,12 +56,12 @@ LRU = 8
 HELD = 16
 
 #: (a) client ``sendall`` calls per hit
-SENDALL_PER_HIT = 2
+SENDALL_PER_HIT = 1
 #: (b) ``ResultStore.get_job`` calls per hit: id in the LRU / id not in it
 GET_JOB_PER_HOT_HIT, GET_JOB_PER_COLD_HIT = 0, 1
 #: (d) calls into ``src/repro`` per hit
-CLIENT_CALLS_PER_HIT = 25
-DAEMON_CALLS_PER_HIT = 39
+CLIENT_CALLS_PER_HIT = 15
+DAEMON_CALLS_PER_HIT = 27
 #: calls into Python code outside the package per hit, each side, at most
 FOREIGN_CALLS_PER_HIT = 60
 
